@@ -10,10 +10,16 @@ same operation applied to that observer's record subsystem, which is why two
 observers can never report conflicting results to each other: the reply is
 sampled inside the asker's own branch.
 
+Each observer caches her unnormalized branch state, keyed by the global
+state it was projected from, so a query projects only through the selectors
+added since the last one. ``entangle_step`` replaces the global state, which
+makes every cache stale; the next query rebuilds it from the root once.
+
 A Universe and its observers form one mutation domain driven by a single
-thread of control; the read-only queries (conditional_state,
-branch_probabilities) may run concurrently between mutations, and distinct
-universes with distinct seeds parallelize freely.
+thread of control. The queries (conditional_state, branch_probabilities)
+write only the queried observer's cache, never the global state or another
+observer; that write is idempotent, so the queries may run concurrently
+between mutations. Distinct universes with distinct seeds parallelize freely.
 """
 from __future__ import annotations
 
@@ -39,13 +45,12 @@ from .states import (
 _FORBIDDEN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BranchNode:
     """One hung-on selector; the root carries no selector."""
 
     parent: "BranchNode | None"
     selector: tuple[Observable, str] | None
-    created_at: int
     depth: int
 
 
@@ -59,15 +64,20 @@ class TraceEntry:
 
 
 class ObserverHandle:
-    """An observer's identity, current branch node, and event ledger."""
+    """An observer's identity, current branch node, and event ledger.
 
-    __slots__ = ("id", "ledger", "_node", "_universe")
+    ``_memo`` caches ``(global state, node, unnormalized branch)``: the
+    global state projected through every selector from the root down to
+    ``node``, an ancestor of (or equal to) the current node.
+    """
 
-    def __init__(self, observer_id: str, root: BranchNode, universe: "Universe"):
+    __slots__ = ("id", "ledger", "_node", "_memo")
+
+    def __init__(self, observer_id: str, root: BranchNode):
         self.id = observer_id
         self.ledger = EventLedger(observer_id)
         self._node = root
-        self._universe = universe
+        self._memo: tuple[StateVector, BranchNode, StateVector] | None = None
 
     @property
     def node(self) -> BranchNode:
@@ -105,7 +115,7 @@ class Universe:
         if abs(initial.norm_squared() - 1.0) > NORM_TOL:
             raise ValueError("initial global state must be normalized")
         self._state = initial
-        self._root = BranchNode(parent=None, selector=None, created_at=0, depth=0)
+        self._root = BranchNode(parent=None, selector=None, depth=0)
         self._clock = 0
         self._observers: dict[str, ObserverHandle] = {}
         self._trace: list[TraceEntry] = []
@@ -137,7 +147,7 @@ class Universe:
         """A fresh observer hanging on at the root with an empty ledger."""
         if observer_id in self._observers:
             raise DuplicateObserver(f"observer {observer_id!r} already registered")
-        handle = ObserverHandle(observer_id, self._root, self)
+        handle = ObserverHandle(observer_id, self._root)
         self._observers[observer_id] = handle
         return handle
 
@@ -173,12 +183,30 @@ class Universe:
 
     def conditional_state(self, observer: ObserverHandle) -> StateVector:
         """The global state seen through every selector on the observer's
-        path, renormalized. Never mutates the universe."""
+        path, renormalized. Never mutates the universe.
+
+        Projects only through the selectors added since the observer's cached
+        branch, O(new selectors) projections; after an ``entangle_step`` the
+        cache is stale and the whole path is projected once. ``project`` keeps
+        the surviving terms' amplitudes and order, so the result equals the
+        re-projection from the root exactly.
+        """
         self._check_registered(observer)
-        state = self._state
-        for obs, outcome in observer.path_selectors():
-            state = project(state, obs, outcome)
-        return state.normalized()
+        memo = observer._memo
+        if memo is not None and memo[0] is self._state:
+            _, stop, branch = memo
+        else:
+            stop, branch = self._root, self._state
+        node = observer._node
+        if node is not stop:
+            # Projections are term filters and commute, so they apply in
+            # walk order, newest selector first.
+            while node is not stop:
+                obs, outcome = node.selector
+                branch = project(branch, obs, outcome)
+                node = node.parent
+            observer._memo = (self._state, observer._node, branch)
+        return branch.normalized()
 
     def branch_probabilities(self, observer: ObserverHandle, obs: Observable) -> dict[str, float]:
         """The sampling distribution ``observe`` would draw from, untouched."""
@@ -217,7 +245,6 @@ class Universe:
         observer._node = BranchNode(
             parent=observer._node,
             selector=(obs, outcome),
-            created_at=t,
             depth=observer._node.depth + 1,
         )
         observer.ledger.record(

@@ -26,7 +26,7 @@ class EmptyBranch(SimulationError):
 
 
 class PointerNotReady(SimulationError):
-    """The pointer subsystem is not in a single uniform label across all terms."""
+    """The pointer subsystem is not at its ready label (its first) in every term."""
 
 
 class DuplicateObserver(SimulationError):

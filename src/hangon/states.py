@@ -276,10 +276,11 @@ def premeasure(
 ) -> StateVector:
     """Deterministically entangle a pointer with a system observable.
 
-    Every term's pointer label (which must be uniform across terms, i.e. the
-    pointer is still "ready") is rewritten to correlation(outcome class of
-    the term's system label). No sampling, no result: this is the
-    interaction step that produces an entangled premeasurement state.
+    Every term's pointer label (which must be the pointer's ready label,
+    ``pointer.labels[0]``, in every term) is rewritten to correlation(outcome
+    class of the term's system label). A fired pointer is never re-fired, so
+    a record once written is not rewritten. No sampling, no result: this is
+    the interaction step that produces an entangled premeasurement state.
     """
     sys_i = s.subsystem_index(system_obs.subsystem.name)
     ptr_i = s.subsystem_index(pointer.name)
@@ -295,9 +296,11 @@ def premeasure(
         raise ValueError("correlation must be injective")
 
     pointer_labels = {labels[ptr_i] for labels in s._terms}
-    if len(pointer_labels) != 1:
+    ready = pointer.labels[0]
+    if pointer_labels != {ready}:
         raise PointerNotReady(
-            f"pointer {pointer.name!r} is in {len(pointer_labels)} labels, expected one"
+            f"pointer {pointer.name!r} is in labels {sorted(pointer_labels)!r}, "
+            f"expected only its ready label {ready!r}"
         )
 
     rewritten: dict[tuple[str, ...], complex] = {}

@@ -3,10 +3,13 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hangon import (
     DuplicateObserver,
     FixedStream,
+    Observable,
     RngStream,
     Subsystem,
     Truth,
@@ -14,8 +17,10 @@ from hangon import (
     label_observable,
     make_state,
     outcome_probability,
+    project,
     tensor,
 )
+from hangon import engine
 from hangon.analysis import (
     born_joint_distribution,
     l1_distance,
@@ -339,3 +344,116 @@ class TestTrace:
         u = singlet_universe(with_bob=True)
         u.entangle_step(B_SPIN, BOB, {"+": "+", "-": "-"})
         assert u.trace_json() == ""
+
+
+def _reference_conditional(u, o):
+    """The conditional state re-projected from the root, without any cache."""
+    state = u.global_state
+    for obs, outcome in o.path_selectors():
+        state = project(state, obs, outcome)
+    return state.normalized()
+
+
+def _label_tuples(subs):
+    keys = [()]
+    for sub in subs:
+        keys = [k + (lab,) for k in keys for lab in sub.labels]
+    return keys
+
+
+def _observable(sub, degenerate):
+    if degenerate and len(sub.labels) >= 3:
+        classes = {"merged": sub.labels[:2]}
+        classes.update({lab: (lab,) for lab in sub.labels[2:]})
+        return Observable(sub, classes, name=f"{sub.name}_deg")
+    return label_observable(sub)
+
+
+N_POINTERS = 3
+
+
+@st.composite
+def _entangled_universes(draw):
+    """A 2-4 subsystem random state tensored with ready pointers p0..p2."""
+    subs = [
+        Subsystem(f"s{i}", tuple(f"l{j}" for j in range(draw(st.integers(2, 3)))))
+        for i in range(draw(st.integers(2, 4)))
+    ]
+    keys = _label_tuples(subs)
+    part = st.integers(-4, 4).map(lambda x: x / 3.0)
+    amps = draw(st.lists(st.tuples(part, part), min_size=len(keys), max_size=len(keys)))
+    terms = [(k, complex(re, im)) for k, (re, im) in zip(keys, amps) if re or im]
+    if not terms:
+        terms = [(keys[0], 1.0)]
+    state = make_state(subs, terms)
+    pointers = [Subsystem(f"p{k}", ("ready", "r0", "r1", "r2")) for k in range(N_POINTERS)]
+    for ptr in pointers:
+        state = tensor(state, make_state([ptr], [(("ready",), 1.0)]))
+    return create_universe(state), subs, pointers
+
+
+@settings(max_examples=80, deadline=None)
+@given(_entangled_universes(), st.data())
+def test_conditional_state_equals_root_reprojection(setup, data):
+    """The cached conditional state is the from-root re-projection, exactly,
+    over schedules that interleave observation and entangling steps."""
+    u, subs, pointers = setup
+    observers = [u.register_observer("a"), u.register_observer("b")]
+    fired = 0
+    for _ in range(data.draw(st.integers(1, 14), label="steps")):
+        kind = data.draw(
+            st.sampled_from(["observe", "force", "probabilities", "entangle"]), label="kind"
+        )
+        o = data.draw(st.sampled_from(observers), label="observer")
+        # Fired pointers may be observed too. A still-ready pointer may not:
+        # firing it later would leave a "ready" selector without support.
+        sub = data.draw(st.sampled_from(subs + pointers[:fired]), label="subsystem")
+        obs = _observable(sub, data.draw(st.booleans(), label="degenerate"))
+        if kind == "observe":
+            draw = data.draw(st.floats(0.0, 1.0, exclude_max=True), label="uniform")
+            u.observe(o, obs, FixedStream([draw]))
+        elif kind == "force":
+            probs = u.branch_probabilities(o, obs)
+            supported = [c for c, p in probs.items() if p > 0.0]
+            force_observe(u, o, obs, data.draw(st.sampled_from(supported), label="outcome"))
+        elif kind == "probabilities":
+            u.branch_probabilities(o, obs)
+        elif fired < N_POINTERS:
+            system = _observable(
+                data.draw(st.sampled_from(subs), label="system"),
+                data.draw(st.booleans(), label="system_degenerate"),
+            )
+            correlation = {c: f"r{j}" for j, c in enumerate(system.class_names)}
+            u.entangle_step(system, pointers[fired], correlation)
+            fired += 1
+        for each in observers:
+            got = u.conditional_state(each)
+            want = _reference_conditional(u, each)
+            assert got == want
+            assert list(got.terms) == list(want.terms)
+
+
+def test_projections_per_observation_stay_constant(monkeypatch):
+    """A deep path costs about one projection per observation, not one per
+    path step: counts calls, so it does not depend on the machine's speed."""
+    calls = [0]
+    real_project = engine.project
+
+    def counting_project(*args):
+        calls[0] += 1
+        return real_project(*args)
+
+    monkeypatch.setattr(engine, "project", counting_project)
+    subs = [Subsystem(f"s{i}", ("l0", "l1", "l2")) for i in range(3)]
+    terms = [(k, 1.0 + 0.1j * n) for n, k in enumerate(_label_tuples(subs))]
+    u = create_universe(make_state(subs, terms))
+    observables = [_observable(sub, deg) for sub in subs for deg in (False, True)]
+    o = u.register_observer("alice")
+    rng = RngStream(19)
+    depth = 400
+    for step in range(depth):
+        u.observe(o, observables[step % len(observables)], rng)
+    assert o.depth == depth
+    # Re-projecting from the root each time would take depth * (depth - 1) / 2.
+    assert calls[0] <= depth
+    assert u.conditional_state(o) == _reference_conditional(u, o)

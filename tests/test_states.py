@@ -219,6 +219,25 @@ class TestPremeasure:
         with pytest.raises(PointerNotReady):
             premeasure(once, A_SPIN, apparatus, {"+": "up", "-": "down"})
 
+    def test_fired_pointer_cannot_be_refired(self):
+        # An eigenstate leaves the fired pointer uniform at "up"; it is not
+        # ready, so a second premeasurement must not rewrite the record.
+        apparatus = Subsystem("needle", ("ready", "up", "down"))
+        s = tensor(
+            make_state([A], [(("+",), 1.0)]),
+            make_state([apparatus], [(("ready",), 1.0)]),
+        )
+        once = premeasure(s, A_SPIN, apparatus, {"+": "up", "-": "down"})
+        assert once.amplitude(("+", "up")) == 1.0
+        with pytest.raises(PointerNotReady):
+            premeasure(once, A_SPIN, apparatus, {"+": "down", "-": "up"})
+
+    def test_pointer_uniform_off_ready_label_rejected(self):
+        apparatus = Subsystem("needle", ("ready", "up", "down"))
+        s = tensor(singlet(), make_state([apparatus], [(("down",), 1.0)]))
+        with pytest.raises(PointerNotReady):
+            premeasure(s, A_SPIN, apparatus, {"+": "up", "-": "down"})
+
     def test_correlation_must_cover_supported_classes(self):
         apparatus = Subsystem("needle", ("ready", "up", "down"))
         s = tensor(
