@@ -5,8 +5,9 @@ Two deliberately independent routes to the same numbers:
 * ``sequential_joint_distribution`` drives the real engine — for every
   outcome combination it replays a forced hanging-on path and multiplies the
   step-by-step branch probabilities (the chain rule an observer lives).
-* ``born_joint_distribution`` never touches the engine: it filters the
-  global state's terms directly and sums squared moduli.
+* ``born_joint_distribution`` never touches the engine: it files the
+  global state's terms under their outcome combinations directly and sums
+  squared moduli.
 
 Their agreement is the oracle check for the whole branching machinery.
 """
@@ -23,19 +24,21 @@ from .states import Observable, StateVector
 def born_joint_distribution(
     state: StateVector, observables: Sequence[Observable]
 ) -> dict[tuple[str, ...], float]:
-    """Direct Born weights over outcome combinations, by term filtering."""
-    indices = [state.subsystem_index(o.subsystem.name) for o in observables]
-    joint: dict[tuple[str, ...], float] = {}
-    for combo in iter_product(*(o.class_names for o in observables)):
-        member_sets = [
-            set(obs.outcome_classes[cls]) for obs, cls in zip(observables, combo)
-        ]
-        joint[combo] = math.fsum(
-            (a.real * a.real + a.imag * a.imag)
-            for labels, a in state.terms.items()
-            if all(labels[i] in mset for i, mset in zip(indices, member_sets))
-        )
-    return joint
+    """Direct Born weights over outcome combinations, in one pass over the
+    terms: each squared modulus is filed under its tuple of outcome classes,
+    then each combination's bucket is summed with ``fsum``. A combination no
+    term reaches (such as two disagreeing classes on one subsystem) weighs
+    exactly 0.0.
+    """
+    lookups = [(state.subsystem_index(o.subsystem.name), o._class_of) for o in observables]
+    buckets: dict[tuple[str | None, ...], list[float]] = {}
+    for labels, a in state.terms.items():
+        combo = tuple(class_of.get(labels[i]) for i, class_of in lookups)
+        buckets.setdefault(combo, []).append(a.real * a.real + a.imag * a.imag)
+    return {
+        combo: math.fsum(buckets.get(combo, ()))
+        for combo in iter_product(*(o.class_names for o in observables))
+    }
 
 
 def sequential_joint_distribution(

@@ -10,16 +10,20 @@ same operation applied to that observer's record subsystem, which is why two
 observers can never report conflicting results to each other: the reply is
 sampled inside the asker's own branch.
 
-Each observer caches her unnormalized branch state, keyed by the global
-state it was projected from, so a query projects only through the selectors
-added since the last one. ``entangle_step`` replaces the global state, which
-makes every cache stale; the next query rebuilds it from the root once.
+Each observer caches her branch state, keyed by the global state it was
+projected from and by her current node: the unnormalized branch, so a query
+projects only through the selectors added since the last one, plus the
+normalized branch and the class weights of every observable asked about at
+that node, so a repeated query on an unchanged path is a lookup.
+``entangle_step`` replaces the global state, which makes every cache stale;
+the next query rebuilds it from the root once.
 
 A Universe and its observers form one mutation domain driven by a single
 thread of control. The queries (conditional_state, branch_probabilities)
 write only the queried observer's cache, never the global state or another
-observer; that write is idempotent, so the queries may run concurrently
-between mutations. Distinct universes with distinct seeds parallelize freely.
+observer; that write is idempotent (one cache per observer), so the queries
+may run concurrently between mutations. Distinct universes with distinct
+seeds parallelize freely.
 """
 from __future__ import annotations
 
@@ -27,8 +31,9 @@ import json
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import AllOutcomesForbidden, DuplicateObserver
+from .errors import AllOutcomesForbidden, DuplicateObserver, EmptyBranch, UnknownOutcome
 from .events import EventLedger, Proposition
+from .rng import FixedStream
 from .states import (
     NORM_TOL,
     Observable,
@@ -66,9 +71,10 @@ class TraceEntry:
 class ObserverHandle:
     """An observer's identity, current branch node, and event ledger.
 
-    ``_memo`` caches ``(global state, node, unnormalized branch)``: the
-    global state projected through every selector from the root down to
-    ``node``, an ancestor of (or equal to) the current node.
+    ``_memo`` caches ``(global state, node, unnormalized branch, normalized
+    branch, {observable: class weights})``: the global state projected
+    through every selector from the root down to ``node``, an ancestor of
+    (or equal to) the current node, and the answers already given there.
     """
 
     __slots__ = ("id", "ledger", "_node", "_memo")
@@ -77,7 +83,10 @@ class ObserverHandle:
         self.id = observer_id
         self.ledger = EventLedger(observer_id)
         self._node = root
-        self._memo: tuple[StateVector, BranchNode, StateVector] | None = None
+        self._memo: (
+            tuple[StateVector, BranchNode, StateVector, StateVector, dict[Observable, dict[str, float]]]
+            | None
+        ) = None
 
     @property
     def node(self) -> BranchNode:
@@ -187,31 +196,45 @@ class Universe:
 
         Projects only through the selectors added since the observer's cached
         branch, O(new selectors) projections; after an ``entangle_step`` the
-        cache is stale and the whole path is projected once. ``project`` keeps
-        the surviving terms' amplitudes and order, so the result equals the
-        re-projection from the root exactly.
+        cache is stale and the whole path is projected once. While neither the
+        global state nor the observer's node changes, the cached normalized
+        branch is returned as is. ``project`` keeps the surviving terms'
+        amplitudes and order, so the result equals the re-projection from the
+        root exactly.
         """
         self._check_registered(observer)
+        node = observer._node
         memo = observer._memo
         if memo is not None and memo[0] is self._state:
-            _, stop, branch = memo
+            if memo[1] is node:
+                return memo[3]
+            _, stop, branch, _, _ = memo
         else:
             stop, branch = self._root, self._state
-        node = observer._node
-        if node is not stop:
-            # Projections are term filters and commute, so they apply in
-            # walk order, newest selector first.
-            while node is not stop:
-                obs, outcome = node.selector
-                branch = project(branch, obs, outcome)
-                node = node.parent
-            observer._memo = (self._state, observer._node, branch)
-        return branch.normalized()
+        # Projections are term filters and commute, so they apply in walk
+        # order, newest selector first.
+        walk = node
+        while walk is not stop:
+            obs, outcome = walk.selector
+            branch = project(branch, obs, outcome)
+            walk = walk.parent
+        conditional = branch.normalized()
+        observer._memo = (self._state, node, branch, conditional, {})
+        return conditional
 
     def branch_probabilities(self, observer: ObserverHandle, obs: Observable) -> dict[str, float]:
-        """The sampling distribution ``observe`` would draw from, untouched."""
+        """The sampling distribution ``observe`` would draw from, untouched.
+
+        Computed once per observable at each node of the observer's path;
+        every call returns a fresh copy of the cached weights.
+        """
         conditional = self.conditional_state(observer)
-        return {cls: outcome_probability(conditional, obs, cls) for cls in obs.class_names}
+        weights = observer._memo[4]
+        probs = weights.get(obs)
+        if probs is None:
+            probs = {cls: outcome_probability(conditional, obs, cls) for cls in obs.class_names}
+            weights[obs] = probs
+        return dict(probs)
 
     def observe(
         self,
@@ -309,9 +332,6 @@ def force_observe(
     Returns the probability the outcome had. Forcing a zero-probability
     outcome raises EmptyBranch: nothing can hang on to an unsupported branch.
     """
-    from .errors import EmptyBranch, UnknownOutcome
-    from .rng import FixedStream
-
     probs = universe.branch_probabilities(observer, obs)
     if outcome not in probs:
         raise UnknownOutcome(f"unknown outcome class {outcome!r} on {obs.name!r}")

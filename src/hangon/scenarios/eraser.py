@@ -28,7 +28,7 @@ from ..errors import ConfigError
 from ..rng import RngStream
 from ..states import Observable, StateVector, Subsystem, label_observable, make_state, tensor
 from .fringes import FringeHistogram
-from .geometry import SlitGeometry, default_geometry, path_difference, slit_wave_arrays
+from .geometry import SlitGeometry, path_difference, slit_wave_arrays
 
 DETECTORS = ("D1", "D2", "D3", "D4")
 PATHS = ("U", "L")
@@ -90,11 +90,15 @@ def branch_amplitudes(
     }
 
 
+def _discrete_state(bs_present: bool, printed_equation: bool) -> StateVector:
+    det, path = detector_subsystem(), path_subsystem()
+    amps = branch_amplitudes(bs_present, printed_equation=printed_equation)
+    return make_state([det, path], [((d, p), a) for (d, p), a in amps.items()])
+
+
 def eraser_state(cfg: EraserConfig, *, printed_equation: bool = False) -> StateVector:
     """The discrete (detector, path) state for the configured device."""
-    det, path = detector_subsystem(), path_subsystem()
-    amps = branch_amplitudes(cfg.bs_present, printed_equation=printed_equation)
-    return make_state([det, path], [((d, p), a) for (d, p), a in amps.items()])
+    return _discrete_state(cfg.bs_present, printed_equation)
 
 
 def build_eraser_universe(
@@ -102,8 +106,7 @@ def build_eraser_universe(
 ) -> Universe:
     """Universe over the discrete eraser state; optionally with a record
     pointer subsystem for the observer who measured the signal side."""
-    cfg = EraserConfig(bs_present, "idler_first", 1, default_geometry(16), 0)
-    state = eraser_state(cfg, printed_equation=printed_equation)
+    state = _discrete_state(bs_present, printed_equation)
     if record:
         rec = Subsystem("signal_record", ("ready",) + PATHS)
         state = tensor(state, make_state([rec], [(("ready",), 1.0)]))

@@ -57,7 +57,9 @@ class Observable:
     selectors even if they partition identically.
     """
 
-    __slots__ = ("subsystem", "outcome_classes", "class_names", "eigenvalues", "name", "_class_of")
+    __slots__ = (
+        "subsystem", "outcome_classes", "class_names", "eigenvalues", "name", "_class_of", "_members"
+    )
 
     def __init__(
         self,
@@ -97,6 +99,7 @@ class Observable:
         self.eigenvalues = dict(eigenvalues) if eigenvalues is not None else None
         self.name = name if name is not None else subsystem.name
         self._class_of = class_of
+        self._members = {cls: frozenset(members) for cls, members in classes.items()}
 
     def class_of(self, label: str) -> str:
         """Outcome class containing the given label."""
@@ -120,13 +123,17 @@ def label_observable(subsystem: Subsystem, *, name: str | None = None) -> Observ
 
 
 class StateVector:
-    """Immutable sparse state over an ordered tuple of subsystems."""
+    """Immutable sparse state over an ordered tuple of subsystems.
 
-    __slots__ = ("subsystems", "_terms", "_index")
+    The squared norm is computed on first use and kept.
+    """
+
+    __slots__ = ("subsystems", "_terms", "_index", "_norm2")
 
     def __init__(self, subsystems: Sequence[Subsystem], terms: Mapping[tuple[str, ...], complex]):
         self.subsystems = tuple(subsystems)
         self._terms = dict(terms)
+        self._norm2: float | None = None
         self._index = {s.name: i for i, s in enumerate(self.subsystems)}
         if len(self._index) != len(self.subsystems):
             raise SubsystemClash("duplicate subsystem names in one state")
@@ -149,7 +156,11 @@ class StateVector:
         return self._terms.get(tuple(labels), 0j)
 
     def norm_squared(self) -> float:
-        return math.fsum((a.real * a.real + a.imag * a.imag) for a in self._terms.values())
+        n2 = self._norm2
+        if n2 is None:
+            n2 = math.fsum((a.real * a.real + a.imag * a.imag) for a in self._terms.values())
+            self._norm2 = n2
+        return n2
 
     def normalized(self) -> "StateVector":
         """Unit-norm copy; raises ZeroNorm if there is nothing to scale."""
@@ -238,11 +249,10 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 
 def outcome_probability(s: StateVector, obs: Observable, outcome: str) -> float:
     """Born weight of one outcome class: sum of |amplitude|^2 over its terms."""
-    members = obs.outcome_classes.get(outcome)
-    if members is None:
+    member_set = obs._members.get(outcome)
+    if member_set is None:
         raise UnknownOutcome(f"unknown outcome class {outcome!r} on {obs.name!r}")
     i = s.subsystem_index(obs.subsystem.name)
-    member_set = set(members)
     return math.fsum(
         (a.real * a.real + a.imag * a.imag)
         for labels, a in s._terms.items()
@@ -257,11 +267,10 @@ def project(s: StateVector, obs: Observable, outcome: str) -> StateVector:
     outcome probability. This extracts a branch for inspection, it is not a
     collapse of anything.
     """
-    members = obs.outcome_classes.get(outcome)
-    if members is None:
+    member_set = obs._members.get(outcome)
+    if member_set is None:
         raise UnknownOutcome(f"unknown outcome class {outcome!r} on {obs.name!r}")
     i = s.subsystem_index(obs.subsystem.name)
-    member_set = set(members)
     kept = {labels: a for labels, a in s._terms.items() if labels[i] in member_set}
     if not kept:
         raise EmptyBranch(f"outcome {outcome!r} has no support in this state")

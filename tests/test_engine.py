@@ -1,6 +1,9 @@
 """Hang-on engine: universes, observation, communication, branch trees."""
+import itertools
 import json
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -457,3 +460,196 @@ def test_projections_per_observation_stay_constant(monkeypatch):
     # Re-projecting from the root each time would take depth * (depth - 1) / 2.
     assert calls[0] <= depth
     assert u.conditional_state(o) == _reference_conditional(u, o)
+
+
+def _reference_probabilities(u, o, obs):
+    """Class weights of the from-root re-projection, without any cache."""
+    conditional = _reference_conditional(u, o)
+    return {cls: outcome_probability(conditional, obs, cls) for cls in obs.class_names}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_entangled_universes(), st.data())
+def test_cached_answers_equal_root_reprojection(setup, data):
+    """Cached conditional states and branch probabilities equal the from-root
+    answers after every step, and a caller's edits to a returned dict never
+    reach the next answer. Observables are built once, so repeated queries on
+    an unchanged path are answered from the cache."""
+    u, subs, pointers = setup
+    observers = [u.register_observer("a"), u.register_observer("b")]
+    pool = {
+        (sub.name, deg): _observable(sub, deg) for sub in subs + pointers for deg in (False, True)
+    }
+    fired = 0
+    for _ in range(data.draw(st.integers(1, 14), label="steps")):
+        kind = data.draw(
+            st.sampled_from(["observe", "force", "probabilities", "entangle"]), label="kind"
+        )
+        o = data.draw(st.sampled_from(observers), label="observer")
+        # Only fired pointers are observed: a "ready" selector loses its
+        # support once the pointer fires.
+        sub = data.draw(st.sampled_from(subs + pointers[:fired]), label="subsystem")
+        obs = pool[sub.name, data.draw(st.booleans(), label="degenerate")]
+        if kind == "observe":
+            draw = data.draw(st.floats(0.0, 1.0, exclude_max=True), label="uniform")
+            u.observe(o, obs, FixedStream([draw]))
+        elif kind == "force":
+            probs = u.branch_probabilities(o, obs)
+            supported = [c for c, p in probs.items() if p > 0.0]
+            force_observe(u, o, obs, data.draw(st.sampled_from(supported), label="outcome"))
+        elif kind == "probabilities":
+            probs = u.branch_probabilities(o, obs)
+            probs[obs.class_names[0]] = -1.0
+            probs.pop(obs.class_names[-1])
+            probs["bogus"] = 2.0
+        elif fired < N_POINTERS:
+            system = pool[
+                data.draw(st.sampled_from(subs), label="system").name,
+                data.draw(st.booleans(), label="system_degenerate"),
+            ]
+            correlation = {c: f"r{j}" for j, c in enumerate(system.class_names)}
+            u.entangle_step(system, pointers[fired], correlation)
+            fired += 1
+        for each in observers:
+            for _ in range(2):
+                got = u.conditional_state(each)
+                want = _reference_conditional(u, each)
+                assert got == want
+                assert list(got.terms) == list(want.terms)
+                for key in ((sub.name, False), (sub.name, True)):
+                    probs = u.branch_probabilities(each, pool[key])
+                    assert probs == _reference_probabilities(u, each, pool[key])
+                    assert list(probs) == list(pool[key].class_names)
+                    probs.clear()
+
+
+def _cost_guard_state():
+    """Three subsystems with some terms missing, so some prefixes have zero
+    weight and the enumeration stops early on them."""
+    subs = [
+        Subsystem("s0", ("l0", "l1", "l2")),
+        Subsystem("s1", ("l0", "l1", "l2")),
+        Subsystem("s2", ("l0", "l1")),
+    ]
+    terms = [
+        (k, complex(1.0 + 0.25 * n, 0.5 - 0.125 * n))
+        for n, k in enumerate(_label_tuples(subs))
+        if n % 5 != 2 and k[:2] != ("l2", "l1")
+    ]
+    return make_state(subs, terms), subs
+
+
+def test_sequential_joint_asks_each_class_once_per_prefix(monkeypatch):
+    """Every positive prefix of every combination costs one
+    ``outcome_probability`` call per outcome class of the next observable,
+    however often the enumeration and ``force_observe`` re-read it; counts
+    calls, so it does not depend on the machine's speed."""
+    calls = [0]
+    real_outcome_probability = engine.outcome_probability
+
+    def counting_outcome_probability(*args):
+        calls[0] += 1
+        return real_outcome_probability(*args)
+
+    monkeypatch.setattr(engine, "outcome_probability", counting_outcome_probability)
+    state, subs = _cost_guard_state()
+    observables = [_observable(sub, deg) for sub, deg in zip(subs, (True, False, False))]
+    bound = 0
+    for combo in itertools.product(*(o.class_names for o in observables)):
+        for j, obs in enumerate(observables):
+            bound += len(obs.class_names)
+            if born_joint_distribution(state, observables[: j + 1])[combo[: j + 1]] <= 0.0:
+                break
+    joint = sequential_joint_distribution(state, observables)
+    assert 0 < calls[0] <= bound
+    assert l1_distance(joint, born_joint_distribution(state, observables)) < 1e-12
+
+
+def _filtered_born_joint(state, observables):
+    """Per-combination term filter: the reference for the one-pass tally."""
+    indices = [state.subsystem_index(o.subsystem.name) for o in observables]
+    joint = {}
+    for combo in itertools.product(*(o.class_names for o in observables)):
+        joint[combo] = math.fsum(
+            a.real * a.real + a.imag * a.imag
+            for labels, a in state.terms.items()
+            if all(
+                labels[i] in obs.outcome_classes[cls]
+                for i, obs, cls in zip(indices, observables, combo)
+            )
+        )
+    return joint
+
+
+@settings(max_examples=80, deadline=None)
+@given(_entangled_universes(), st.data())
+def test_born_joint_equals_per_combination_filter(setup, data):
+    """The one-pass Born joint equals filtering the terms once per outcome
+    combination, with degenerate observables and repeated subsystems."""
+    u, subs, _ = setup
+    picks = data.draw(
+        st.lists(st.tuples(st.sampled_from(subs), st.booleans()), min_size=1, max_size=4),
+        label="observables",
+    )
+    observables = [_observable(sub, deg) for sub, deg in picks]
+    got = born_joint_distribution(u.global_state, observables)
+    want = _filtered_born_joint(u.global_state, observables)
+    assert got == want
+    assert list(got) == list(want)
+
+
+def test_born_joint_of_contradictory_combinations_is_zero():
+    """Observing one subsystem twice: combinations that disagree weigh
+    exactly 0.0, and a coarse class holds exactly its fine classes' mass."""
+    state, subs = _cost_guard_state()
+    fine, coarse = _observable(subs[0], False), _observable(subs[0], True)
+    joint = born_joint_distribution(state, [fine, coarse, fine])
+    assert joint == _filtered_born_joint(state, [fine, coarse, fine])
+    for (first, merged, last), p in joint.items():
+        if first != last or coarse.class_of(first) != merged:
+            assert p == 0.0
+        else:
+            assert p > 0.0
+    single = born_joint_distribution(state, [fine])
+    assert sum(joint.values()) == pytest.approx(1.0, abs=1e-12)
+    for label in subs[0].labels:
+        assert joint[label, coarse.class_of(label), label] == single[(label,)]
+
+
+def test_concurrent_queries_between_mutations_agree():
+    """Queries from several threads on one observer, between mutations, all
+    see the from-root answer: the cache fill is an idempotent write."""
+    state, subs = _cost_guard_state()
+    observables = [_observable(sub, deg) for sub in subs for deg in (False, True)]
+    u = create_universe(state)
+    o = u.register_observer("alice")
+    rng = RngStream(5)
+    errors = []
+
+    def query(rounds):
+        try:
+            for _ in range(rounds):
+                for obs in observables:
+                    got = u.branch_probabilities(o, obs)
+                    if got != _reference_probabilities(u, o, obs):
+                        errors.append(obs.name)
+                    if u.conditional_state(o) != _reference_conditional(u, o):
+                        errors.append("conditional state")
+                    got.clear()
+        except Exception as exc:  # reported through the assertion below
+            errors.append(repr(exc))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for step in range(6):
+            threads = [threading.Thread(target=query, args=(20,)) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            u.observe(o, observables[step % len(observables)], rng)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert errors == []
