@@ -27,7 +27,6 @@ from .scenarios import (
     geometry_from_config,
     histogram_from_positions,
     momentum_detector_probabilities,
-    nearest_bins,
     no_signaling_check,
     run_empty_trace,
     run_epr,
@@ -37,9 +36,9 @@ from .scenarios import (
     run_partial_pair,
     sample_screen_hits,
     screen_density,
-    visibility,
-    visibility_stderr,
+    screen_visibility,
 )
+from .rng import RngStream
 from .verify import run_suite
 
 _PERSPECTIVE_FLAGS = {"idler-first": "idler_first", "signal-first": "signal_first"}
@@ -125,9 +124,16 @@ def _require_int(settings: dict, key: str, default: int, minimum: int) -> int:
     return value
 
 
-def _geometry(settings: dict, bins: int):
+def _geometry(settings: dict):
+    """Screen geometry from the ``geometry`` field. A ``bins`` flag or
+    top-level field must agree with ``geometry.bins`` when both are given."""
     geo_cfg = dict(settings.get("geometry", {}))
-    geo_cfg.setdefault("bins", bins)
+    if "bins" in settings or "bins" not in geo_cfg:
+        bins = _require_int(settings, "bins", 512, 2)
+        if geo_cfg.setdefault("bins", bins) != bins:
+            raise ConfigError(
+                f"field 'bins' is {bins} but field 'geometry.bins' is {geo_cfg['bins']!r}"
+            )
     try:
         return geometry_from_config(geo_cfg)
     except (ValueError, TypeError) as e:
@@ -139,14 +145,12 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _histogram_csv(edges: np.ndarray, rows: dict) -> str:
-    header = "bin_left,bin_right," + ",".join(f"count_{d}" for d in DETECTORS) + ",count_total"
-    lines = [header]
-    totals = sum(rows.values())
+def _histogram_csv(edges: np.ndarray, columns: dict) -> str:
+    """One row per screen bin: its edges, then one count per named column."""
+    lines = ["bin_left,bin_right," + ",".join(columns)]
     for j in range(len(edges) - 1):
         cells = [f"{edges[j]:.17g}", f"{edges[j + 1]:.17g}"]
-        cells += [str(int(rows[d][j])) for d in DETECTORS]
-        cells.append(str(int(totals[j])))
+        cells += [str(int(counts[j])) for counts in columns.values()]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -155,161 +159,140 @@ def _counts_payload(counts: dict) -> dict:
     return {f"{a}{b}": int(v) for (a, b), v in sorted(counts.items())}
 
 
-def _counts_csv(counts: dict) -> str:
-    lines = ["outcome,count"]
-    for (a, b), v in sorted(counts.items()):
-        lines.append(f"{a}{b},{int(v)}")
-    return "\n".join(lines) + "\n"
+# Each scenario maps (settings, seed, counts format) to its report and the
+# data files to write, by file name; cmd_run adds the report file.
+
+
+def _run_eraser(settings: dict, seed: int, out_format: str) -> tuple[RunReport, dict]:
+    n = _require_int(settings, "n", 100_000, 1)
+    geometry = _geometry(settings)
+    perspective = settings.get("perspective", "idler_first")
+    bs_present = bool(settings.get("bs_present", True))
+    run = run_eraser(EraserConfig(bs_present, perspective, n, geometry, seed))
+    geo_cfg = geometry.to_config()
+    report = RunReport(
+        scenario="eraser",
+        config={
+            "scenario": "eraser",
+            "bs_present": bs_present,
+            "perspective": perspective,
+            "n": n,
+            "seed": seed,
+            "bins": geo_cfg["bins"],
+            "geometry": geo_cfg,
+        },
+    )
+    report.analytic = {
+        "detector_marginals": {d: 0.25 for d in DETECTORS},
+        "no_signaling_residual": no_signaling_check(geometry),
+    }
+    report.sampled = {"detector_counts": run.detector_counts}
+    report.add_check(
+        "no_signaling",
+        "screen marginal identical with and without the beam splitter",
+        report.analytic["no_signaling_residual"] <= 1e-12,
+    )
+    report.add_check(
+        "photon_conservation",
+        "histogram totals equal the photon count",
+        run.histograms["total"].total == n,
+    )
+    columns = {f"count_{d}": run.joint_counts[i] for i, d in enumerate(DETECTORS)}
+    columns["count_total"] = run.joint_counts.sum(axis=0)
+    return report, {"eraser_hist.csv": _histogram_csv(geometry.bin_edges, columns)}
+
+
+def _counts_run(scenario: str, config: dict, run, out_format: str) -> tuple[RunReport, dict]:
+    """Report and counts file shared by the sampled pair scenarios."""
+    report = RunReport(scenario=scenario, config={"scenario": scenario, **config})
+    report.analytic = {f"{a}{b}": p for (a, b), p in sorted(run.analytic.items())}
+    counts = _counts_payload(run.counts)
+    report.sampled = {"counts": counts}
+    if out_format == "csv":
+        payload = "outcome,count\n" + "".join(f"{k},{v}\n" for k, v in counts.items())
+    else:
+        payload = json.dumps(counts, sort_keys=True, indent=2) + "\n"
+    return report, {f"{scenario}_counts.{out_format}": payload}
+
+
+def _run_epr(settings: dict, seed: int, out_format: str) -> tuple[RunReport, dict]:
+    n = _require_int(settings, "n", 10_000, 1)
+    order = settings.get("order", "alice_first")
+    run = run_epr(order, n, seed)
+    report, files = _counts_run("epr", {"order": order, "n": n, "seed": seed}, run, out_format)
+    report.add_check(
+        "anticorrelation",
+        "no same-sign joint outcomes in any run",
+        run.same_sign_count == 0,
+    )
+    return report, files
+
+
+def _run_eq9(settings: dict, seed: int, out_format: str) -> tuple[RunReport, dict]:
+    n = _require_int(settings, "n", 30_000, 1)
+    run = run_partial_pair(n, seed)
+    report, files = _counts_run("eq9", {"n": n, "seed": seed}, run, out_format)
+    report.add_check(
+        "empty_branch_never_fires",
+        "the unsupported joint outcome (Y,b) never occurs",
+        run.counts[("Y", "b")] == 0,
+    )
+    return report, files
+
+
+def _run_double_slit(settings: dict, seed: int, out_format: str) -> tuple[RunReport, dict]:
+    n = _require_int(settings, "n", 100_000, 1)
+    geometry = _geometry(settings)
+    hits = sample_screen_hits(geometry, n, RngStream(seed))
+    hist = histogram_from_positions(geometry, hits)
+    maxima, minima = fringe_extrema(geometry)
+    v_analytic, v_sampled, se = screen_visibility(
+        geometry, maxima, minima, screen_density(geometry), hist.counts
+    )
+    p_up, p_low = momentum_detector_probabilities(geometry)
+    geo_cfg = geometry.to_config()
+    report = RunReport(
+        scenario="double-slit",
+        config={
+            "scenario": "double-slit",
+            "n": n,
+            "seed": seed,
+            "bins": geo_cfg["bins"],
+            "geometry": geo_cfg,
+        },
+    )
+    report.analytic = {
+        "visibility": v_analytic,
+        "n_extrema": len(maxima) + len(minima),
+        "momentum_probabilities": [p_up, p_low],
+    }
+    report.sampled = {"visibility": v_sampled, "visibility_se": se}
+    report.add_check(
+        "visibility",
+        "sampled fringe visibility within 3 standard errors of analytic",
+        abs(v_sampled - v_analytic) <= 3 * se,
+    )
+    csv = _histogram_csv(geometry.bin_edges, {"count": hist.counts})
+    return report, {"double_slit_hist.csv": csv}
+
+
+_SCENARIOS = {
+    "eraser": _run_eraser,
+    "epr": _run_epr,
+    "eq9": _run_eq9,
+    "double-slit": _run_double_slit,
+}
 
 
 def cmd_run(args) -> int:
     settings = _merged_settings(args, _load_config(args.config))
     seed = _require_int(settings, "seed", 0, 0)
-    out_dir = Path(args.out_dir)
-    out_format = args.out
-
-    if args.scenario == "eraser":
-        n = _require_int(settings, "n", 100_000, 1)
-        bins = _require_int(settings, "bins", 512, 2)
-        geometry = _geometry(settings, bins)
-        perspective = settings.get("perspective", "idler_first")
-        bs_present = bool(settings.get("bs_present", True))
-        cfg = EraserConfig(bs_present, perspective, n, geometry, seed)
-        run = run_eraser(cfg)
-        report = RunReport(
-            scenario="eraser",
-            config={
-                "scenario": "eraser",
-                "bs_present": bs_present,
-                "perspective": perspective,
-                "n": n,
-                "seed": seed,
-                "bins": bins,
-                "geometry": geometry.to_config(),
-            },
-        )
-        report.analytic = {
-            "detector_marginals": {d: 0.25 for d in DETECTORS},
-            "no_signaling_residual": no_signaling_check(geometry),
-        }
-        report.sampled = {"detector_counts": run.detector_counts}
-        report.add_check(
-            "no_signaling",
-            "screen marginal identical with and without the beam splitter",
-            report.analytic["no_signaling_residual"] <= 1e-12,
-        )
-        report.add_check(
-            "photon_conservation",
-            "histogram totals equal the photon count",
-            run.histograms["total"].total == n,
-        )
-        _write(
-            out_dir / "eraser_hist.csv",
-            _histogram_csv(
-                geometry.bin_edges,
-                {d: run.joint_counts[i] for i, d in enumerate(DETECTORS)},
-            ),
-        )
-        _write(out_dir / "eraser_report.json", report.to_json() + "\n")
-        print(report.to_json())
-        return 0 if report.passed else 1
-
-    if args.scenario == "epr":
-        n = _require_int(settings, "n", 10_000, 1)
-        order = settings.get("order", "alice_first")
-        run = run_epr(order, n, seed)
-        report = RunReport(
-            scenario="epr",
-            config={"scenario": "epr", "order": order, "n": n, "seed": seed},
-        )
-        report.analytic = {f"{a}{b}": p for (a, b), p in sorted(run.analytic.items())}
-        report.sampled = {"counts": _counts_payload(run.counts)}
-        report.add_check(
-            "anticorrelation",
-            "no same-sign joint outcomes in any run",
-            run.same_sign_count == 0,
-        )
-        payload = (
-            _counts_csv(run.counts)
-            if out_format == "csv"
-            else json.dumps(_counts_payload(run.counts), sort_keys=True, indent=2) + "\n"
-        )
-        _write(out_dir / f"epr_counts.{out_format}", payload)
-        _write(out_dir / "epr_report.json", report.to_json() + "\n")
-        print(report.to_json())
-        return 0 if report.passed else 1
-
-    if args.scenario == "eq9":
-        n = _require_int(settings, "n", 30_000, 1)
-        run = run_partial_pair(n, seed)
-        report = RunReport(
-            scenario="eq9",
-            config={"scenario": "eq9", "n": n, "seed": seed},
-        )
-        report.analytic = {f"{a}{b}": p for (a, b), p in sorted(run.analytic.items())}
-        report.sampled = {"counts": _counts_payload(run.counts)}
-        report.add_check(
-            "empty_branch_never_fires",
-            "the unsupported joint outcome (Y,b) never occurs",
-            run.counts[("Y", "b")] == 0,
-        )
-        payload = (
-            _counts_csv(run.counts)
-            if out_format == "csv"
-            else json.dumps(_counts_payload(run.counts), sort_keys=True, indent=2) + "\n"
-        )
-        _write(out_dir / f"eq9_counts.{out_format}", payload)
-        _write(out_dir / "eq9_report.json", report.to_json() + "\n")
-        print(report.to_json())
-        return 0 if report.passed else 1
-
-    if args.scenario == "double-slit":
-        n = _require_int(settings, "n", 100_000, 1)
-        bins = _require_int(settings, "bins", 512, 2)
-        geometry = _geometry(settings, bins)
-        from .rng import RngStream
-
-        hits = sample_screen_hits(geometry, n, RngStream(seed))
-        hist = histogram_from_positions(geometry, hits)
-        maxima, minima = fringe_extrema(geometry)
-        max_bins = nearest_bins(geometry, maxima)
-        min_bins = nearest_bins(geometry, minima)
-        density = screen_density(geometry)
-        v_analytic = visibility(density, max_bins, min_bins)
-        v_sampled = visibility(hist.counts, max_bins, min_bins)
-        se = visibility_stderr(hist.counts, max_bins, min_bins)
-        p_up, p_low = momentum_detector_probabilities(geometry)
-        report = RunReport(
-            scenario="double-slit",
-            config={
-                "scenario": "double-slit",
-                "n": n,
-                "seed": seed,
-                "bins": bins,
-                "geometry": geometry.to_config(),
-            },
-        )
-        report.analytic = {
-            "visibility": v_analytic,
-            "n_extrema": len(maxima) + len(minima),
-            "momentum_probabilities": [p_up, p_low],
-        }
-        report.sampled = {"visibility": v_sampled, "visibility_se": se}
-        report.add_check(
-            "visibility",
-            "sampled fringe visibility within 3 standard errors of analytic",
-            abs(v_sampled - v_analytic) <= 3 * se,
-        )
-        lines = ["bin_left,bin_right,count"]
-        edges = geometry.bin_edges
-        for j in range(bins):
-            lines.append(f"{edges[j]:.17g},{edges[j + 1]:.17g},{int(hist.counts[j])}")
-        _write(out_dir / "double_slit_hist.csv", "\n".join(lines) + "\n")
-        _write(out_dir / "double_slit_report.json", report.to_json() + "\n")
-        print(report.to_json())
-        return 0 if report.passed else 1
-
-    raise ConfigError(f"unknown scenario {args.scenario!r}")
+    report, files = _SCENARIOS[args.scenario](settings, seed, args.out)
+    files[f"{args.scenario.replace('-', '_')}_report.json"] = report.to_json() + "\n"
+    for name, text in files.items():
+        _write(Path(args.out_dir) / name, text)
+    print(report.to_json())
+    return 0 if report.passed else 1
 
 
 def cmd_verify(args) -> int:
@@ -322,20 +305,15 @@ def cmd_verify(args) -> int:
 
 def cmd_trace(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    if args.scenario == "needle":
-        story = run_needle_narrative(seed)
-        trace = story.universe.trace_json()
-        ledger = story.ledger.to_json_lines()
-    elif args.scenario == "eraser":
-        story = run_eraser_trace(seed, bs_present=args.bs if args.bs is not None else True)
-        trace = story.universe.trace_json()
-        ledger = story.ledger.to_json_lines()
-    elif args.scenario == "empty":
-        universe = run_empty_trace()
-        trace = universe.trace_json()
-        ledger = ""
+    if args.scenario == "empty":
+        universe, ledger = run_empty_trace(), ""
     else:
-        raise ConfigError(f"unknown trace scenario {args.scenario!r}")
+        if args.scenario == "needle":
+            story = run_needle_narrative(seed)
+        else:
+            story = run_eraser_trace(seed, bs_present=args.bs if args.bs is not None else True)
+        universe, ledger = story.universe, story.ledger.to_json_lines()
+    trace = universe.trace_json()
     payload = trace + ("\n" if trace else "")
     if args.out is not None:
         _write(Path(args.out), payload)
@@ -356,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="sample a scenario and write data files")
-    run_p.add_argument("scenario", choices=["eraser", "epr", "eq9", "double-slit"])
+    run_p.add_argument("scenario", choices=list(_SCENARIOS))
     run_p.add_argument("--bs", action=argparse.BooleanOptionalAction, default=None,
                        help="beam splitter present (--bs / --no-bs)")
     run_p.add_argument("--perspective", choices=sorted(_PERSPECTIVE_FLAGS), default=None)

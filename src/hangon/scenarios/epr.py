@@ -33,10 +33,6 @@ _B = Subsystem("B", SPIN_LABELS)
 _RECORD = Subsystem("bob_record", ("ready",) + SPIN_LABELS)
 
 
-def spin_observable(subsystem: Subsystem, name: str | None = None) -> Observable:
-    return label_observable(subsystem, name=name)
-
-
 def singlet_state() -> StateVector:
     """(|+->-|-+>)/sqrt(2) over particles A and B."""
     return make_state(
@@ -55,11 +51,11 @@ def build_epr_universe(*, with_record: bool = False) -> Universe:
 
 
 def a_spin() -> Observable:
-    return spin_observable(_A, "A_spin")
+    return label_observable(_A, name="A_spin")
 
 
 def b_spin() -> Observable:
-    return spin_observable(_B, "B_spin")
+    return label_observable(_B, name="B_spin")
 
 
 def record_observable() -> Observable:

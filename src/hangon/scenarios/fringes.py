@@ -44,10 +44,6 @@ class FringeHistogram:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    @property
-    def centers(self) -> np.ndarray:
-        return (self.bin_edges[:-1] + self.bin_edges[1:]) / 2.0
-
 
 def histogram_from_positions(
     g: SlitGeometry, positions: np.ndarray, condition: str | None = None
@@ -82,6 +78,23 @@ def visibility_stderr(
     d_hi = 2.0 * lo / denom
     d_lo = 2.0 * hi / denom
     return math.sqrt(d_hi * d_hi * var_hi + d_lo * d_lo * var_lo)
+
+
+def screen_visibility(
+    g: SlitGeometry,
+    maxima: np.ndarray,
+    minima: np.ndarray,
+    density: np.ndarray,
+    counts: np.ndarray,
+) -> tuple[float, float, float]:
+    """Visibility of an analytic density and of sampled counts at the bins
+    nearest the given extrema positions: (analytic, sampled, stderr)."""
+    max_bins, min_bins = nearest_bins(g, maxima), nearest_bins(g, minima)
+    return (
+        visibility(density, max_bins, min_bins),
+        visibility(counts, max_bins, min_bins),
+        visibility_stderr(counts, max_bins, min_bins),
+    )
 
 
 def oscillation_fit(

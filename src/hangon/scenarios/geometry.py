@@ -96,14 +96,7 @@ class SlitGeometry:
 def default_geometry(bins: int = 512) -> SlitGeometry:
     """The documented default: unit slit separation, wavelength 1/20 unit,
     screen 100 units away spanning 12 fringes, detectors 200 units out."""
-    return SlitGeometry(
-        slit_upper=(0.5, 0.0),
-        slit_lower=(-0.5, 0.0),
-        wavenumber=2.0 * math.pi / 0.05,
-        screen_distance=100.0,
-        screen_positions=np.linspace(-30.0, 30.0, bins),
-        detector_position=(0.0, 200.0),
-    )
+    return geometry_from_config({"bins": bins})
 
 
 def geometry_from_config(cfg: dict) -> SlitGeometry:

@@ -16,13 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..engine import Universe, create_universe
-from ..events import EventLedger, Proposition, Truth
+from ..events import EventLedger, Proposition
 from ..rng import RngStream
 from ..states import Subsystem, label_observable, make_state, tensor
 from .eraser import build_eraser_universe, detector_observable, path_observable
 
 SUNDAY_ELEVEN = 10
-MONDAY_ELEVEN_THIRTY = 29
 MONDAY_NOON = 30
 
 
@@ -42,9 +41,6 @@ class NeedleNarrative:
 
     def needle_proposition(self) -> Proposition:
         return Proposition("needle", self.needle_outcome, self.t_happened)
-
-    def truth_at(self, query_time: int) -> Truth:
-        return self.ledger.truth_value(self.needle_proposition(), query_time)
 
 
 def run_needle_narrative(

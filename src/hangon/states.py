@@ -51,22 +51,18 @@ class Observable:
     """A projective measurement on one subsystem.
 
     Outcome classes partition the subsystem's labels; a class may group
-    several labels (degenerate outcome). Optional numeric eigenvalues may be
-    attached per class. Identity (not structural equality) is what branch
-    selectors store, so two separately built observables are distinct
-    selectors even if they partition identically.
+    several labels (degenerate outcome). Identity (not structural equality)
+    is what branch selectors store, so two separately built observables are
+    distinct selectors even if they partition identically.
     """
 
-    __slots__ = (
-        "subsystem", "outcome_classes", "class_names", "eigenvalues", "name", "_class_of", "_members"
-    )
+    __slots__ = ("subsystem", "outcome_classes", "class_names", "name", "_class_of", "_members")
 
     def __init__(
         self,
         subsystem: Subsystem,
         outcome_classes: Mapping[str, Iterable[str]],
         *,
-        eigenvalues: Mapping[str, float] | None = None,
         name: str | None = None,
     ):
         if len(subsystem.labels) < 2:
@@ -89,14 +85,9 @@ class Observable:
         missing = set(subsystem.labels) - set(class_of)
         if missing:
             raise ValueError(f"outcome classes do not cover labels {sorted(missing)!r}")
-        if eigenvalues is not None:
-            unknown = set(eigenvalues) - set(classes)
-            if unknown:
-                raise UnknownOutcome(f"eigenvalues given for unknown classes {sorted(unknown)!r}")
         self.subsystem = subsystem
         self.outcome_classes = classes
         self.class_names = tuple(classes)
-        self.eigenvalues = dict(eigenvalues) if eigenvalues is not None else None
         self.name = name if name is not None else subsystem.name
         self._class_of = class_of
         self._members = {cls: frozenset(members) for cls, members in classes.items()}
@@ -107,11 +98,6 @@ class Observable:
             return self._class_of[label]
         except KeyError:
             raise UnknownLabel(f"label {label!r} not declared on subsystem {self.subsystem.name!r}") from None
-
-    def eigenvalue(self, outcome: str) -> float | None:
-        if outcome not in self.outcome_classes:
-            raise UnknownOutcome(f"unknown outcome class {outcome!r} on {self.name!r}")
-        return None if self.eigenvalues is None else self.eigenvalues.get(outcome)
 
     def __repr__(self) -> str:
         return f"Observable({self.name!r} on {self.subsystem.name!r}: {list(self.class_names)})"

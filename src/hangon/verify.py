@@ -10,6 +10,7 @@ second pass).
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -32,6 +33,7 @@ from .scenarios import (
     DETECTORS,
     EraserConfig,
     analytic_joint_by_perspective,
+    build_epr_universe,
     build_eraser_universe,
     chi_square_two_sample,
     default_geometry,
@@ -43,7 +45,6 @@ from .scenarios import (
     fringe_phase,
     joint_density,
     momentum_detector_probabilities,
-    nearest_bins,
     no_signaling_check,
     oscillation_fit,
     partial_pair_joint_distribution,
@@ -55,10 +56,9 @@ from .scenarios import (
     sample_momentum_clicks,
     sample_screen_hits,
     screen_density,
-    visibility,
-    visibility_stderr,
+    screen_visibility,
 )
-from .scenarios.epr import a_spin, b_spin, record_observable, singlet_state
+from .scenarios.epr import a_spin, b_spin, record_observable
 from .scenarios.fringes import histogram_from_positions
 from .scenarios.geometry import grid_extrema_indices, momentum_weights, random_geometry
 from .scenarios.narrative import MONDAY_NOON
@@ -137,10 +137,6 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _fmt(x: float) -> float:
-    return float(x)
-
-
 # --- criterion 1 ----------------------------------------------------------
 
 
@@ -154,13 +150,13 @@ def check_momentum_detectors(seed: int, fast: bool) -> CheckResult:
         and abs(w80 - 0.8) <= ANALYTIC_TOL
         and abs(w20 - 0.2) <= ANALYTIC_TOL
     )
-    analytic = {"p_upper": _fmt(p_up), "p_lower": _fmt(p_low), "double_distance_weight": _fmt(w80)}
+    analytic = {"p_upper": p_up, "p_lower": p_low, "double_distance_weight": w80}
     sampled: dict = {}
     if not fast:
         n = 100_000
         n_up, _ = sample_momentum_clicks(g, n, RngStream(seed))
         z = (n_up / n - 0.5) / math.sqrt(0.25 / n)
-        sampled = {"n": n, "freq_upper": _fmt(n_up / n), "abs_z": _fmt(abs(z))}
+        sampled = {"n": n, "freq_upper": n_up / n, "abs_z": abs(z)}
         ok = ok and abs(z) <= 3.0
     return CheckResult(
         "momentum_detectors",
@@ -190,21 +186,18 @@ def check_double_slit_fringes(seed: int, fast: bool) -> CheckResult:
     ok = n_extrema >= 20 and worst <= g.bin_width
     analytic = {
         "n_extrema": n_extrema,
-        "worst_offset_bins": _fmt(worst / g.bin_width),
+        "worst_offset_bins": worst / g.bin_width,
     }
     sampled: dict = {}
     if not fast:
-        max_bins, min_bins = nearest_bins(g, maxima), nearest_bins(g, minima)
         hist = histogram_from_positions(g, sample_screen_hits(g, 100_000, RngStream(seed)))
-        v_analytic = visibility(density, max_bins, min_bins)
-        v_sampled = visibility(hist.counts, max_bins, min_bins)
-        se = visibility_stderr(hist.counts, max_bins, min_bins)
+        v_analytic, v_sampled, se = screen_visibility(g, maxima, minima, density, hist.counts)
         z = (v_sampled - v_analytic) / se
         sampled = {
             "n": 100_000,
-            "visibility_analytic": _fmt(v_analytic),
-            "visibility_sampled": _fmt(v_sampled),
-            "abs_z": _fmt(abs(z)),
+            "visibility_analytic": v_analytic,
+            "visibility_sampled": v_sampled,
+            "abs_z": abs(z),
         }
         ok = ok and abs(z) <= 3.0
     return CheckResult(
@@ -225,7 +218,7 @@ def check_epr(seed: int, fast: bool) -> CheckResult:
     ok = True
     for order in ("alice_first", "bob_record_first"):
         joint = epr_joint_distribution(order)
-        analytic[order] = {f"{a}{b}": _fmt(p) for (a, b), p in sorted(joint.items())}
+        analytic[order] = {f"{a}{b}": p for (a, b), p in sorted(joint.items())}
         ok = ok and abs(joint[("+", "-")] - 0.5) <= ANALYTIC_TOL
         ok = ok and abs(joint[("-", "+")] - 0.5) <= ANALYTIC_TOL
         ok = ok and joint[("+", "+")] == 0.0 and joint[("-", "-")] == 0.0
@@ -270,11 +263,11 @@ def check_partial_pair(seed: int, fast: bool) -> CheckResult:
         and joint[("Y", "b")] == 0.0
     )
     analytic = {
-        "p_x": _fmt(p_x),
-        "p_y": _fmt(p_y),
-        "p_a_given_x": _fmt(p_a_given_x),
-        "p_a_given_y": _fmt(p_a_given_y),
-        "p_yb": _fmt(joint[("Y", "b")]),
+        "p_x": p_x,
+        "p_y": p_y,
+        "p_a_given_x": p_a_given_x,
+        "p_a_given_y": p_a_given_y,
+        "p_yb": joint[("Y", "b")],
     }
     sampled: dict = {}
     if not fast:
@@ -286,8 +279,8 @@ def check_partial_pair(seed: int, fast: bool) -> CheckResult:
         sampled = {
             "n": n,
             "yb_count": run.counts[("Y", "b")],
-            "abs_z_x": _fmt(abs(z_x)),
-            "abs_z_a_given_x": _fmt(abs(z_ax)),
+            "abs_z_x": abs(z_x),
+            "abs_z_a_given_x": abs(z_ax),
         }
         ok = ok and run.counts[("Y", "b")] == 0
         ok = ok and abs(z_x) <= 3.0 and abs(z_ax) <= 3.0
@@ -314,7 +307,7 @@ def check_eraser_uniformity(seed: int, fast: bool) -> CheckResult:
             det: outcome_probability(state, detector_observable(), det)
             for det in DETECTORS
         }
-        analytic["with_bs" if bs else "without_bs"] = {k: _fmt(v) for k, v in probs.items()}
+        analytic["with_bs" if bs else "without_bs"] = probs
         ok = ok and all(abs(p - 0.25) <= ANALYTIC_TOL for p in probs.values())
     return CheckResult(
         "eraser_uniformity",
@@ -339,37 +332,35 @@ def check_eraser_fringes(seed: int, fast: bool) -> CheckResult:
     half_total_residual = float(np.max(np.abs((rho_bs[0] + rho_bs[1]) - rho_bs.sum(axis=0) / 2)))
     ok = pair_residual <= ANALYTIC_TOL and half_total_residual <= ANALYTIC_TOL
     analytic = {
-        "pair_sum_residual": _fmt(pair_residual),
-        "half_total_residual": _fmt(half_total_residual),
+        "pair_sum_residual": pair_residual,
+        "half_total_residual": half_total_residual,
     }
     sampled: dict = {}
     if not fast:
-        maxima, minima = fringe_extrema(g)
-        max_bins, min_bins = nearest_bins(g, maxima), nearest_bins(g, minima)
         phase = fringe_phase(g)
-
         run_bs = run_eraser(cfg_bs)
-        v_analytic = visibility(rho_bs[0], max_bins, min_bins)
-        v_sampled = visibility(run_bs.histograms["D1"].counts, max_bins, min_bins)
-        se = visibility_stderr(run_bs.histograms["D1"].counts, max_bins, min_bins)
+        maxima, minima = fringe_extrema(g)
+        v_analytic, v_sampled, se = screen_visibility(
+            g, maxima, minima, rho_bs[0], run_bs.histograms["D1"].counts
+        )
         z = (v_sampled - v_analytic) / se
         flat_ratios = {}
         for det in ("D3", "D4"):
             amp, sigma = oscillation_fit(
                 run_bs.histograms[det].counts, detector_envelope(cfg_bs, det), phase
             )
-            flat_ratios[det] = _fmt(amp / sigma)
+            flat_ratios[det] = amp / sigma
         run_no = run_eraser(cfg_no)
         for det in DETECTORS:
             amp, sigma = oscillation_fit(
                 run_no.histograms[det].counts, detector_envelope(cfg_no, det), phase
             )
-            flat_ratios[f"no_bs_{det}"] = _fmt(amp / sigma)
+            flat_ratios[f"no_bs_{det}"] = amp / sigma
         sampled = {
             "n": 100_000,
-            "d1_visibility_analytic": _fmt(v_analytic),
-            "d1_visibility_sampled": _fmt(v_sampled),
-            "d1_abs_z": _fmt(abs(z)),
+            "d1_visibility_analytic": v_analytic,
+            "d1_visibility_sampled": v_sampled,
+            "d1_abs_z": abs(z),
             "flat_fit_ratios": flat_ratios,
         }
         ok = ok and abs(z) <= 3.0 and all(r < 3.0 for r in flat_ratios.values())
@@ -397,7 +388,7 @@ def check_no_signaling(seed: int, fast: bool) -> CheckResult:
         "no_signaling",
         "screen marginal is identical with and without the beam splitter, pointwise, on any geometry",
         ok,
-        {"n_geometries": n_geoms + 1, "worst_residual": _fmt(worst)},
+        {"n_geometries": n_geoms + 1, "worst_residual": worst},
         {},
         f"worst residual {worst:.2e} over {n_geoms + 1} geometries",
     )
@@ -414,14 +405,14 @@ def check_perspective_equivalence(seed: int, fast: bool) -> CheckResult:
         js = analytic_joint_by_perspective(EraserConfig(bs, "signal_first", 1, g, 0))
         worst = max(worst, float(np.max(np.abs(ji - js))))
     ok = worst <= ANALYTIC_TOL
-    analytic = {"worst_joint_residual": _fmt(worst)}
+    analytic = {"worst_joint_residual": worst}
     sampled: dict = {}
     if not fast:
         n = 100_000
         run_idler = run_eraser(EraserConfig(True, "idler_first", n, g, seed))
         run_signal = run_eraser(EraserConfig(True, "signal_first", n, g, seed + 1))
         stat, dof, p = chi_square_two_sample(run_idler.joint_counts, run_signal.joint_counts)
-        sampled = {"n": n, "chi2": _fmt(stat), "dof": dof, "p_value": _fmt(p)}
+        sampled = {"n": n, "chi2": stat, "dof": dof, "p_value": p}
         ok = ok and p >= CHI2_SIGNIFICANCE
     return CheckResult(
         "perspective_equivalence",
@@ -438,13 +429,8 @@ def check_perspective_equivalence(seed: int, fast: bool) -> CheckResult:
 
 def _conflict_trial_epr(seed: int) -> int:
     """One EPR trial; returns the number of consistency violations."""
-    from .states import Subsystem as _S
-
-    record = _S("bob_record", ("ready", "+", "-"))
-    from .states import make_state as _mk, tensor as _tensor
-
-    base = _tensor(singlet_state(), _mk([record], [(("ready",), 1.0)]))
-    u = create_universe(base)
+    u = build_epr_universe(with_record=True)
+    record = u.subsystem("bob_record")
     alice = u.register_observer("alice")
     rng = RngStream(seed)
     u.entangle_step(b_spin(), record, {"+": "+", "-": "-"})
@@ -506,14 +492,8 @@ def _random_state_and_observables(rng: RngStream):
         n_labels = 2 + int(rng.random() * 2)  # 2..3
         subs.append(Subsystem(f"s{i}", tuple(f"l{j}" for j in range(n_labels))))
 
-    def all_keys(sets):
-        if not sets:
-            return [()]
-        rest = all_keys(sets[1:])
-        return [(l,) + r for l in sets[0] for r in rest]
-
     terms = []
-    for key in all_keys([s.labels for s in subs]):
+    for key in itertools.product(*(s.labels for s in subs)):
         terms.append((key, complex(rng.random() * 2 - 1, rng.random() * 2 - 1)))
     state = make_state(subs, terms)
 
@@ -542,7 +522,7 @@ def check_oracle_equivalence(seed: int, fast: bool) -> CheckResult:
         "sequential hanging-on joint distribution equals brute-force Born enumeration",
         worst <= ORACLE_L1_TOL,
         {},
-        {"n_states": n_states, "worst_l1": _fmt(worst)},
+        {"n_states": n_states, "worst_l1": worst},
         f"worst L1 {worst:.2e} over {n_states} states",
     )
 

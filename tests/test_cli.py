@@ -26,15 +26,6 @@ class TestRunEraser:
         assert report["config"]["seed"] == 7
         assert sum(report["sampled"]["detector_counts"].values()) == 5000
 
-    def test_same_seed_byte_identical_outputs(self, tmp_path):
-        for sub in ("a", "b"):
-            assert run_cli(
-                "run", "eraser", "--no-bs", "--perspective", "signal-first",
-                "--n", "2000", "--seed", "3", "--out-dir", str(tmp_path / sub),
-            ) == 0
-        for name in ("eraser_hist.csv", "eraser_report.json"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 1000, "seed": 1, "bs_present": False}))
@@ -67,6 +58,70 @@ class TestRunEraser:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "epr"}))
         assert run_cli("run", "eraser", "--config", str(cfg)) == 2
+
+
+class TestRunDeterminism:
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            pytest.param(
+                ["eraser", "--no-bs", "--perspective", "signal-first", "--n", "2000"],
+                ["eraser_hist.csv", "eraser_report.json"],
+                id="eraser",
+            ),
+            pytest.param(["epr", "--n", "500"], ["epr_counts.json", "epr_report.json"], id="epr-json"),
+            pytest.param(
+                ["epr", "--order", "bob-record-first", "--n", "500", "--out", "csv"],
+                ["epr_counts.csv", "epr_report.json"],
+                id="epr-csv",
+            ),
+            pytest.param(["eq9", "--n", "500"], ["eq9_counts.json", "eq9_report.json"], id="eq9"),
+            pytest.param(
+                ["double-slit", "--n", "20000", "--bins", "256"],
+                ["double_slit_hist.csv", "double_slit_report.json"],
+                id="double-slit",
+            ),
+        ],
+    )
+    def test_same_seed_byte_identical_outputs(self, tmp_path, argv, names):
+        for sub in ("a", "b"):
+            assert run_cli("run", *argv, "--seed", "5", "--out-dir", str(tmp_path / sub)) == 0
+            assert sorted(p.name for p in (tmp_path / sub).iterdir()) == sorted(names)
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestBinsAgreement:
+    @pytest.mark.parametrize("scenario", ["eraser", "double-slit"])
+    @pytest.mark.parametrize("bins", ["64", "256"])
+    def test_bins_flag_disagreeing_with_geometry_is_config_error(
+        self, tmp_path, capsys, scenario, bins
+    ):
+        # The echoed config carries geometry.bins = 128; a --bins flag that
+        # disagrees must be refused before anything is written.
+        first = tmp_path / "first"
+        run_cli("run", scenario, "--n", "500", "--bins", "128", "--out-dir", str(first))
+        cfg = tmp_path / "echo.json"
+        echoed = json.loads((first / f"{scenario.replace('-', '_')}_report.json").read_text())["config"]
+        cfg.write_text(json.dumps(echoed))
+        capsys.readouterr()
+        code = run_cli(
+            "run", scenario, "--config", str(cfg), "--bins", bins,
+            "--out-dir", str(tmp_path / "second"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert bins in err and "128" in err
+        assert not (tmp_path / "second").exists()
+
+    def test_geometry_bins_alone_sets_the_histogram(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2000, "geometry": {"bins": 128}}))
+        run_cli("run", "double-slit", "--config", str(cfg), "--out-dir", str(tmp_path))
+        lines = (tmp_path / "double_slit_hist.csv").read_text().splitlines()
+        assert len(lines) == 129
+        report = json.loads((tmp_path / "double_slit_report.json").read_text())
+        assert report["config"]["bins"] == report["config"]["geometry"]["bins"] == 128
 
 
 class TestRunEprAndPair:
