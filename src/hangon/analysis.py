@@ -1,24 +1,105 @@
-"""Joint-distribution enumeration over observation sequences.
+"""Entangle/observe schedules and joint distributions over observations.
 
-Two deliberately independent routes to the same numbers:
-
-* ``sequential_joint_distribution`` drives the real engine — for every
-  outcome combination it replays a forced hanging-on path and multiplies the
-  step-by-step branch probabilities (the chain rule an observer lives).
-* ``born_joint_distribution`` never touches the engine: it files the
-  global state's terms under their outcome combinations directly and sums
-  squared moduli.
-
-Their agreement is the oracle check for the whole branching machinery.
+A ``Schedule`` is one observer's fixed sequence of entangling and observing
+steps over an initial state. It samples trials on fresh universes, or forces
+its observations onto chosen outcomes and multiplies the step-by-step branch
+probabilities (the chain rule an observer lives). Two independent routes
+give the same joint: ``sequential_joint_distribution`` walks the engine that
+way, and ``born_joint_distribution`` never touches it, summing the squared
+moduli of the global state's terms under their outcome combinations. Their
+agreement is the oracle check for the whole branching machinery.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .engine import Universe, force_observe
-from .states import Observable, StateVector
+from .engine import ObserverHandle, Universe, force_observe
+from .states import Observable, StateVector, Subsystem
+
+
+class Entangle(NamedTuple):
+    """Premeasure ``system_obs`` against a pointer (``Universe.entangle_step``)."""
+
+    system_obs: Observable
+    pointer: Subsystem
+    correlation: Mapping[str, str]
+
+
+class Observe(NamedTuple):
+    """Measure ``obs``; a reply is an ``Observe`` of the partner's record."""
+
+    obs: Observable
+
+
+def _combinations(observables: Sequence[Observable]):
+    return iter_product(*(o.class_names for o in observables))
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Entangle and observe steps over one initial state, one observer."""
+
+    initial: StateVector
+    steps: tuple[Entangle | Observe, ...]
+
+    def _observables(self) -> list[Observable]:
+        return [step.obs for step in self.steps if isinstance(step, Observe)]
+
+    def run(self, rng) -> tuple[Universe, ObserverHandle, tuple[str, ...]]:
+        """One sampled trial on a fresh universe, one draw per observation."""
+        universe = Universe(self.initial)
+        observer = universe.register_observer("alice")
+        outcomes = []
+        for step in self.steps:
+            if isinstance(step, Observe):
+                outcomes.append(universe.observe(observer, step.obs, rng))
+            else:
+                universe.entangle_step(*step)
+        return universe, observer, tuple(outcomes)
+
+    def counts(self, n: int, rng) -> dict[tuple[str, ...], int]:
+        """Outcome tallies over ``n`` trials, every combination listed."""
+        tally = dict.fromkeys(_combinations(self._observables()), 0)
+        for _ in range(n):
+            tally[self.run(rng)[2]] += 1
+        return tally
+
+    def walk(self, outcomes: Sequence[str]) -> tuple[Universe, ObserverHandle, float]:
+        """Force the observations onto ``outcomes`` in turn and return the
+        chain product of their branch probabilities, 0.0 at the first outcome
+        without support. The walk stops before the first observation that
+        ``outcomes`` does not reach."""
+        universe = Universe(self.initial)
+        observer = universe.register_observer("alice")
+        todo = iter(outcomes)
+        p = 1.0
+        for step in self.steps:
+            if not isinstance(step, Observe):
+                universe.entangle_step(*step)
+                continue
+            outcome = next(todo, None)
+            if outcome is None:
+                break
+            p *= universe.branch_probabilities(observer, step.obs)[outcome]
+            if p <= 0.0:
+                return universe, observer, 0.0
+            force_observe(universe, observer, step.obs, outcome)
+        return universe, observer, p
+
+    def joint(self) -> dict[tuple[str, ...], float]:
+        """Exact joint over the observations: one ``walk`` per combination of
+        all outcomes but the last, whose weights are read, not observed."""
+        *head, last = self._observables()
+        joint: dict[tuple[str, ...], float] = {}
+        for prefix in _combinations(head):
+            universe, observer, p = self.walk(prefix)
+            weights = universe.branch_probabilities(observer, last) if p > 0.0 else {}
+            for cls in last.class_names:
+                joint[prefix + (cls,)] = p * weights.get(cls, 0.0)
+        return joint
 
 
 def born_joint_distribution(
@@ -37,28 +118,19 @@ def born_joint_distribution(
         buckets.setdefault(combo, []).append(a.real * a.real + a.imag * a.imag)
     return {
         combo: math.fsum(buckets.get(combo, ()))
-        for combo in iter_product(*(o.class_names for o in observables))
+        for combo in _combinations(observables)
     }
 
 
 def sequential_joint_distribution(
     state: StateVector, observables: Sequence[Observable]
 ) -> dict[tuple[str, ...], float]:
-    """Chain product of branch probabilities along every forced engine path."""
-    joint: dict[tuple[str, ...], float] = {}
-    for n, combo in enumerate(iter_product(*(o.class_names for o in observables))):
-        universe = Universe(state)
-        observer = universe.register_observer(f"enum{n}")
-        p = 1.0
-        for obs, outcome in zip(observables, combo):
-            step = universe.branch_probabilities(observer, obs)[outcome]
-            p *= step
-            if p <= 0.0:
-                p = 0.0
-                break
-            force_observe(universe, observer, obs, outcome)
-        joint[combo] = p
-    return joint
+    """Chain product of branch probabilities along every forced engine path.
+
+    Unlike ``Schedule.joint`` this forces the last observation too, one
+    ``observe`` per positive prefix of every combination."""
+    schedule = Schedule(state, tuple(Observe(o) for o in observables))
+    return {combo: schedule.walk(combo)[2] for combo in _combinations(observables)}
 
 
 def l1_distance(

@@ -127,7 +127,10 @@ def _require_int(settings: dict, key: str, default: int, minimum: int) -> int:
 def _geometry(settings: dict):
     """Screen geometry from the ``geometry`` field. A ``bins`` flag or
     top-level field must agree with ``geometry.bins`` when both are given."""
-    geo_cfg = dict(settings.get("geometry", {}))
+    geo_cfg = settings.get("geometry", {})
+    if not isinstance(geo_cfg, dict):
+        raise ConfigError(f"field 'geometry': expected an object, got {geo_cfg!r}")
+    geo_cfg = dict(geo_cfg)
     if "bins" in settings or "bins" not in geo_cfg:
         bins = _require_int(settings, "bins", 512, 2)
         if geo_cfg.setdefault("bins", bins) != bins:
@@ -167,7 +170,9 @@ def _run_eraser(settings: dict, seed: int, out_format: str) -> tuple[RunReport, 
     n = _require_int(settings, "n", 100_000, 1)
     geometry = _geometry(settings)
     perspective = settings.get("perspective", "idler_first")
-    bs_present = bool(settings.get("bs_present", True))
+    bs_present = settings.get("bs_present", True)
+    if not isinstance(bs_present, bool):
+        raise ConfigError(f"field 'bs_present': expected true or false, got {bs_present!r}")
     run = run_eraser(EraserConfig(bs_present, perspective, n, geometry, seed))
     geo_cfg = geometry.to_config()
     report = RunReport(

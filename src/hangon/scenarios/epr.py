@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..engine import Universe, create_universe, force_observe
-from ..errors import ConfigError
+from ..analysis import Entangle, Observe, Schedule
+from ..engine import Universe, create_universe
+from ..errors import ConfigError, SimulationError
 from ..rng import RngStream
 from ..states import Observable, StateVector, Subsystem, label_observable, make_state, tensor
 
@@ -44,10 +45,11 @@ def singlet_state() -> StateVector:
 def build_epr_universe(*, with_record: bool = False) -> Universe:
     """Universe holding the singlet; optionally with the partner's
     still-ready record subsystem attached."""
-    state = singlet_state()
-    if with_record:
-        state = tensor(state, make_state([_RECORD], [(("ready",), 1.0)]))
-    return create_universe(state)
+    return create_universe(_singlet_with_record() if with_record else singlet_state())
+
+
+def _singlet_with_record() -> StateVector:
+    return tensor(singlet_state(), make_state([_RECORD], [(("ready",), 1.0)]))
 
 
 def a_spin() -> Observable:
@@ -77,70 +79,44 @@ class EprRun:
         return self.counts.get(("+", "+"), 0) + self.counts.get(("-", "-"), 0)
 
 
-_CORRELATION = {"+": "+", "-": "-"}
+def epr_schedule(order: str) -> Schedule:
+    """The asker measures A and asks for the partner's record, which an
+    entangling step correlates with B before or after her measurement."""
+    if order not in ORDERS:
+        raise ConfigError(f"order must be one of {ORDERS}")
+    record = Entangle(b_spin(), _RECORD, {"+": "+", "-": "-"})
+    mine = Observe(a_spin())
+    steps = (record, mine) if order == "bob_record_first" else (mine, record)
+    return Schedule(_singlet_with_record(), steps + (Observe(record_observable()),))
+
+
+def _spin_pairs(table: dict) -> dict:
+    """Drop the record's "ready" cells: it has fired before anyone asks, so
+    any weight or count there is a defect."""
+    if any(v for pair, v in table.items() if "ready" in pair):
+        raise SimulationError("the partner's record replied 'ready'")
+    return {pair: v for pair, v in table.items() if "ready" not in pair}
 
 
 def run_epr(order: str, n: int, seed: int) -> EprRun:
     """n independent single-pair runs in the given measurement order."""
-    if order not in ORDERS:
-        raise ConfigError(f"order must be one of {ORDERS}")
+    schedule = epr_schedule(order)
     if n < 1:
         raise ConfigError("need at least one run")
-    base = tensor(singlet_state(), make_state([_RECORD], [(("ready",), 1.0)]))
-    obs_a, obs_b, obs_rec = a_spin(), b_spin(), record_observable()
-    rng = RngStream(seed)
-    counts: dict[tuple[str, str], int] = {
-        ("+", "-"): 0,
-        ("-", "+"): 0,
-        ("+", "+"): 0,
-        ("-", "-"): 0,
-    }
-    for _ in range(n):
-        u = create_universe(base)
-        alice = u.register_observer("alice")
-        if order == "bob_record_first":
-            u.entangle_step(obs_b, _RECORD, _CORRELATION)
-            mine = u.observe(alice, obs_a, rng)
-        else:
-            mine = u.observe(alice, obs_a, rng)
-            u.entangle_step(obs_b, _RECORD, _CORRELATION)
-        reply = u.communicate(alice, obs_rec, rng)
-        counts[(mine, reply)] = counts.get((mine, reply), 0) + 1
+    counts = _spin_pairs(schedule.counts(n, RngStream(seed)))
     return EprRun(order, n, seed, counts, epr_joint_distribution(order))
 
 
 def epr_joint_distribution(order: str) -> dict[tuple[str, str], float]:
     """Analytic joint over (asker outcome, reply), by forced chain walks
     through the engine in the given order."""
-    if order not in ORDERS:
-        raise ConfigError(f"order must be one of {ORDERS}")
-    base = tensor(singlet_state(), make_state([_RECORD], [(("ready",), 1.0)]))
-    obs_a, obs_b, obs_rec = a_spin(), b_spin(), record_observable()
-    joint: dict[tuple[str, str], float] = {}
-    for mine in SPIN_LABELS:
-        u = create_universe(base)
-        alice = u.register_observer("alice")
-        if order == "bob_record_first":
-            u.entangle_step(obs_b, _RECORD, _CORRELATION)
-            p_mine = u.branch_probabilities(alice, obs_a)[mine]
-            force_observe(u, alice, obs_a, mine)
-        else:
-            p_mine = u.branch_probabilities(alice, obs_a)[mine]
-            force_observe(u, alice, obs_a, mine)
-            u.entangle_step(obs_b, _RECORD, _CORRELATION)
-        reply_probs = u.branch_probabilities(alice, obs_rec)
-        for reply in SPIN_LABELS:
-            joint[(mine, reply)] = p_mine * reply_probs[reply]
-    return joint
+    return _spin_pairs(epr_schedule(order).joint())
 
 
 # --- the partially determining pair (CLI scenario id: eq9) ---------------
 
-PAIR_FIRST_LABELS = ("X", "Y")
-PAIR_SECOND_LABELS = ("a", "b")
-
-_FIRST = Subsystem("first", PAIR_FIRST_LABELS)
-_SECOND = Subsystem("second", PAIR_SECOND_LABELS)
+_FIRST = Subsystem("first", ("X", "Y"))
+_SECOND = Subsystem("second", ("a", "b"))
 
 
 def partial_pair_state() -> StateVector:
@@ -154,10 +130,6 @@ def partial_pair_state() -> StateVector:
             (("Y", "a"), INV_SQRT3),
         ],
     )
-
-
-def build_partial_pair_universe() -> Universe:
-    return create_universe(partial_pair_state())
 
 
 def first_observable() -> Observable:
@@ -176,39 +148,18 @@ class PartialPairRun:
     analytic: dict
 
 
+def partial_pair_schedule() -> Schedule:
+    return Schedule(partial_pair_state(), (Observe(first_observable()), Observe(second_observable())))
+
+
 def partial_pair_joint_distribution() -> dict[tuple[str, str], float]:
     """Analytic joint over (first, second) outcomes via forced chain walks."""
-    obs_f, obs_s = first_observable(), second_observable()
-    joint: dict[tuple[str, str], float] = {}
-    for x in PAIR_FIRST_LABELS:
-        u = build_partial_pair_universe()
-        o = u.register_observer("alice")
-        p_first = u.branch_probabilities(o, obs_f)[x]
-        if p_first <= 0.0:
-            for y in PAIR_SECOND_LABELS:
-                joint[(x, y)] = 0.0
-            continue
-        force_observe(u, o, obs_f, x)
-        second_probs = u.branch_probabilities(o, obs_s)
-        for y in PAIR_SECOND_LABELS:
-            joint[(x, y)] = p_first * second_probs[y]
-    return joint
+    return partial_pair_schedule().joint()
 
 
 def run_partial_pair(n: int, seed: int) -> PartialPairRun:
     """n sequential first-then-second measurements on fresh pairs."""
     if n < 1:
         raise ConfigError("need at least one run")
-    base = partial_pair_state()
-    obs_f, obs_s = first_observable(), second_observable()
-    rng = RngStream(seed)
-    counts: dict[tuple[str, str], int] = {
-        (x, y): 0 for x in PAIR_FIRST_LABELS for y in PAIR_SECOND_LABELS
-    }
-    for _ in range(n):
-        u = create_universe(base)
-        o = u.register_observer("alice")
-        x = u.observe(o, obs_f, rng)
-        y = u.observe(o, obs_s, rng)
-        counts[(x, y)] += 1
+    counts = partial_pair_schedule().counts(n, RngStream(seed))
     return PartialPairRun(n, seed, counts, partial_pair_joint_distribution())

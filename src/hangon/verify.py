@@ -14,11 +14,18 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .analysis import born_joint_distribution, l1_distance, sequential_joint_distribution
+from .analysis import (
+    Entangle,
+    Observe,
+    Schedule,
+    born_joint_distribution,
+    l1_distance,
+    sequential_joint_distribution,
+)
 from .engine import create_universe
 from .events import Proposition, Truth
 from .rng import RngStream
@@ -31,9 +38,9 @@ from .states import (
 )
 from .scenarios import (
     DETECTORS,
+    ORDERS,
     EraserConfig,
     analytic_joint_by_perspective,
-    build_epr_universe,
     build_eraser_universe,
     chi_square_two_sample,
     default_geometry,
@@ -58,7 +65,7 @@ from .scenarios import (
     screen_density,
     screen_visibility,
 )
-from .scenarios.epr import a_spin, b_spin, record_observable
+from .scenarios.epr import epr_schedule, record_observable
 from .scenarios.fringes import histogram_from_positions
 from .scenarios.geometry import grid_extrema_indices, momentum_weights, random_geometry
 from .scenarios.narrative import MONDAY_NOON
@@ -78,16 +85,6 @@ class CheckResult:
     analytic: dict
     sampled: dict
     detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "invariant": self.invariant,
-            "passed": self.passed,
-            "analytic": self.analytic,
-            "sampled": self.sampled,
-            "detail": self.detail,
-        }
 
 
 @dataclass
@@ -114,13 +111,13 @@ class SuiteReport:
                 "suite": self.suite,
                 "master_seed": self.master_seed,
                 "passed": self.passed,
-                "checks": [r.to_dict() for r in self.results],
+                "checks": [asdict(r) for r in self.results],
             },
             sort_keys=True,
             separators=(",", ":"),
         )
 
-    def format_table(self, verbose: bool = True) -> str:
+    def format_table(self) -> str:
         lines = []
         width = max((len(r.name) for r in self.results), default=10)
         for r in self.results:
@@ -128,11 +125,10 @@ class SuiteReport:
             rt = self.runtimes.get(r.name)
             rt_s = f" [{rt:6.2f}s]" if rt is not None else ""
             lines.append(f"{mark}  {r.name:<{width}}{rt_s}  {r.detail}")
-            if verbose:
-                for side, values in (("analytic", r.analytic), ("sampled", r.sampled)):
-                    if values:
-                        body = json.dumps(values, sort_keys=True, default=str)
-                        lines.append(f"        {side}: {body}")
+            for side, values in (("analytic", r.analytic), ("sampled", r.sampled)):
+                if values:
+                    body = json.dumps(values, sort_keys=True, default=str)
+                    lines.append(f"        {side}: {body}")
         lines.append(f"{'PASS' if self.passed else 'FAIL'}  suite={self.suite} seed={self.master_seed}")
         return "\n".join(lines)
 
@@ -214,28 +210,27 @@ def check_double_slit_fringes(seed: int, fast: bool) -> CheckResult:
 
 
 def check_epr(seed: int, fast: bool) -> CheckResult:
-    analytic = {}
+    analytic, sampled = {}, {}
     ok = True
-    for order in ("alice_first", "bob_record_first"):
+    for i, order in enumerate(ORDERS):
         joint = epr_joint_distribution(order)
         analytic[order] = {f"{a}{b}": p for (a, b), p in sorted(joint.items())}
         ok = ok and abs(joint[("+", "-")] - 0.5) <= ANALYTIC_TOL
         ok = ok and abs(joint[("-", "+")] - 0.5) <= ANALYTIC_TOL
         ok = ok and joint[("+", "+")] == 0.0 and joint[("-", "-")] == 0.0
-    sampled: dict = {}
-    if not fast:
+        if fast:
+            continue
         n = 10_000
-        for i, order in enumerate(("alice_first", "bob_record_first")):
-            run = run_epr(order, n, seed + i)
-            plus_trials = run.counts[("+", "-")] + run.counts[("+", "+")]
-            sampled[order] = {
-                "n": n,
-                "same_sign": run.same_sign_count,
-                "plus_trials": plus_trials,
-                "plus_replied_minus": run.counts[("+", "-")],
-            }
-            ok = ok and run.same_sign_count == 0
-            ok = ok and run.counts[("+", "-")] == plus_trials
+        run = run_epr(order, n, seed + i)
+        plus_trials = run.counts[("+", "-")] + run.counts[("+", "+")]
+        sampled[order] = {
+            "n": n,
+            "same_sign": run.same_sign_count,
+            "plus_trials": plus_trials,
+            "plus_replied_minus": run.counts[("+", "-")],
+        }
+        ok = ok and run.same_sign_count == 0
+        ok = ok and run.counts[("+", "-")] == plus_trials
     return CheckResult(
         "epr_anticorrelation",
         "singlet runs never produce same-sign joint outcomes in either order; a '+' always hears '-'",
@@ -345,17 +340,16 @@ def check_eraser_fringes(seed: int, fast: bool) -> CheckResult:
         )
         z = (v_sampled - v_analytic) / se
         flat_ratios = {}
-        for det in ("D3", "D4"):
-            amp, sigma = oscillation_fit(
-                run_bs.histograms[det].counts, detector_envelope(cfg_bs, det), phase
-            )
-            flat_ratios[det] = amp / sigma
-        run_no = run_eraser(cfg_no)
-        for det in DETECTORS:
-            amp, sigma = oscillation_fit(
-                run_no.histograms[det].counts, detector_envelope(cfg_no, det), phase
-            )
-            flat_ratios[f"no_bs_{det}"] = amp / sigma
+        fits = (
+            ("", cfg_bs, run_bs, ("D3", "D4")),
+            ("no_bs_", cfg_no, run_eraser(cfg_no), DETECTORS),
+        )
+        for prefix, cfg, run, detectors in fits:
+            for det in detectors:
+                amp, sigma = oscillation_fit(
+                    run.histograms[det].counts, detector_envelope(cfg, det), phase
+                )
+                flat_ratios[prefix + det] = amp / sigma
         sampled = {
             "n": 100_000,
             "d1_visibility_analytic": v_analytic,
@@ -427,29 +421,20 @@ def check_perspective_equivalence(seed: int, fast: bool) -> CheckResult:
 # --- criterion 9 ----------------------------------------------------------
 
 
-def _conflict_trial_epr(seed: int) -> int:
-    """One EPR trial; returns the number of consistency violations."""
-    u = build_epr_universe(with_record=True)
-    record = u.subsystem("bob_record")
-    alice = u.register_observer("alice")
+def _eraser_asking(bs: bool) -> tuple[Schedule, Observable]:
+    """The asker reads an idler detector; she will ask for the signal's record."""
+    state = build_eraser_universe(bs, record=True).global_state
+    record = state.subsystem("signal_record")
+    entangle = Entangle(path_observable(), record, {"U": "U", "L": "L"})
+    schedule = Schedule(state, (entangle, Observe(detector_observable())))
+    return schedule, label_observable(record, name="signal_record")
+
+
+def _conflict_trial(schedule: Schedule, record_obs: Observable, seed: int) -> int:
+    """Run the schedule, ask for the record, then check the reply against
+    the asker's whole path. Returns the number of violations."""
     rng = RngStream(seed)
-    u.entangle_step(b_spin(), record, {"+": "+", "-": "-"})
-    u.observe(alice, a_spin(), rng)
-    return _reply_consistency_violations(u, alice, record_observable(), rng)
-
-
-def _conflict_trial_eraser(seed: int, bs: bool) -> int:
-    u = build_eraser_universe(bs, record=True)
-    alice = u.register_observer("alice")
-    rng = RngStream(seed)
-    record = u.subsystem("signal_record")
-    u.entangle_step(path_observable(), record, {"U": "U", "L": "L"})
-    u.observe(alice, detector_observable(), rng)
-    return _reply_consistency_violations(u, alice, label_observable(record, name="signal_record"), rng)
-
-
-def _reply_consistency_violations(u, asker, record_obs, rng) -> int:
-    """Communicate, then verify the reply against the asker's whole path."""
+    u, asker, _ = schedule.run(rng)
     prior = asker.path_selectors()
     pre_probs = u.branch_probabilities(asker, record_obs)
     determined = [cls for cls, p in pre_probs.items() if p >= 1.0 - 1e-9]
@@ -465,13 +450,13 @@ def _reply_consistency_violations(u, asker, record_obs, rng) -> int:
 
 def check_no_conflict(seed: int, fast: bool) -> CheckResult:
     n_trials = 1_000 if fast else 10_000
+    epr = epr_schedule("bob_record_first")
+    epr_asking = (Schedule(epr.initial, epr.steps[:-1]), record_observable())
+    kinds = (epr_asking, epr_asking, _eraser_asking(True), _eraser_asking(False))
     violations = 0
     for i in range(n_trials):
-        kind = i % 4
-        if kind < 2:
-            violations += _conflict_trial_epr(seed * 2 + i)
-        else:
-            violations += _conflict_trial_eraser(seed * 2 + i, bs=(kind == 2))
+        schedule, record_obs = kinds[i % 4]
+        violations += _conflict_trial(schedule, record_obs, seed * 2 + i)
     return CheckResult(
         "no_conflict",
         "a reply is always consistent with every selector already on the asker's path",
@@ -600,10 +585,10 @@ def check_repeat_measurement(seed: int, fast: bool) -> CheckResult:
             ((lab,), complex(rng.random() * 2 - 1, rng.random() * 2 - 1))
             for lab in sub.labels
         ]
-        u = create_universe(make_state([sub], terms))
-        o = u.register_observer("alice")
         obs = label_observable(sub)
-        if u.observe(o, obs, rng) != u.observe(o, obs, rng):
+        schedule = Schedule(make_state([sub], terms), (Observe(obs), Observe(obs)))
+        first, again = schedule.run(rng)[2]
+        if first != again:
             mismatches += 1
     return CheckResult(
         "repeat_measurement",
@@ -653,8 +638,8 @@ def _run_checks(master_seed: int, fast: bool, runtimes: dict | None = None) -> l
 def check_determinism(master_seed: int, first_pass: list[CheckResult], fast: bool) -> CheckResult:
     """Re-run every check with the same master seed and compare report bytes."""
     second_pass = _run_checks(master_seed, fast)
-    a = json.dumps([r.to_dict() for r in first_pass], sort_keys=True)
-    b = json.dumps([r.to_dict() for r in second_pass], sort_keys=True)
+    a = json.dumps([asdict(r) for r in first_pass], sort_keys=True)
+    b = json.dumps([asdict(r) for r in second_pass], sort_keys=True)
     return CheckResult(
         "determinism",
         "the same master seed reproduces the whole report byte-for-byte",

@@ -183,6 +183,24 @@ class TestConfigErrors:
         assert code == 2
         assert "'n'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_non_boolean_bs_present(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 100, "bs_present": value}))
+        code = run_cli("run", "eraser", "--config", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "'bs_present'" in capsys.readouterr().err
+        assert not (tmp_path / "eraser_report.json").exists()
+
+    @pytest.mark.parametrize("scenario", ["eraser", "double-slit"])
+    @pytest.mark.parametrize("geometry", [[1, 2], "wide", 3])
+    def test_geometry_not_an_object(self, tmp_path, capsys, scenario, geometry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 100, "geometry": geometry}))
+        code = run_cli("run", scenario, "--config", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "'geometry'" in capsys.readouterr().err
+
     def test_unknown_flag_value(self, capsys):
         assert run_cli("run", "eraser", "--perspective", "sideways") == 2
 

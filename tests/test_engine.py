@@ -565,6 +565,30 @@ def test_sequential_joint_asks_each_class_once_per_prefix(monkeypatch):
     assert l1_distance(joint, born_joint_distribution(state, observables)) < 1e-12
 
 
+def test_sequential_joint_observes_once_per_positive_prefix(monkeypatch):
+    """The enumeration forces every step of a combination, the last one
+    included, until the first prefix without support."""
+    calls = [0]
+    real_observe = engine.Universe.observe
+
+    def counting_observe(self, *args, **kwargs):
+        calls[0] += 1
+        return real_observe(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine.Universe, "observe", counting_observe)
+    state, subs = _cost_guard_state()
+    observables = [_observable(sub, deg) for sub, deg in zip(subs, (True, False, False))]
+    positive_prefixes = 0
+    for combo in itertools.product(*(o.class_names for o in observables)):
+        for j in range(len(observables)):
+            if born_joint_distribution(state, observables[: j + 1])[combo[: j + 1]] <= 0.0:
+                break
+            positive_prefixes += 1
+    sequential_joint_distribution(state, observables)
+    assert 0 < positive_prefixes < 3 * 3 * 3 * 2
+    assert calls[0] == positive_prefixes
+
+
 def _filtered_born_joint(state, observables):
     """Per-combination term filter: the reference for the one-pass tally."""
     indices = [state.subsystem_index(o.subsystem.name) for o in observables]

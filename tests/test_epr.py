@@ -3,12 +3,11 @@ import math
 
 import pytest
 
-from hangon import ConfigError, outcome_probability
+from hangon import ConfigError, create_universe, outcome_probability
 from hangon.rng import RngStream
 from hangon.scenarios import (
     ORDERS,
     build_epr_universe,
-    build_partial_pair_universe,
     epr_joint_distribution,
     partial_pair_joint_distribution,
     partial_pair_state,
@@ -101,7 +100,7 @@ class TestPartialPair:
         assert s.amplitude(("Y", "b")) == 0j
 
     def test_analytic_marginals_and_conditionals(self):
-        u = build_partial_pair_universe()
+        u = create_universe(partial_pair_state())
         o = u.register_observer("alice")
         probs = u.branch_probabilities(o, first_observable())
         assert probs["X"] == pytest.approx(2.0 / 3.0, abs=1e-12)
@@ -116,7 +115,7 @@ class TestPartialPair:
     def test_conditional_after_y_is_certain(self):
         from hangon.engine import force_observe
 
-        u = build_partial_pair_universe()
+        u = create_universe(partial_pair_state())
         o = u.register_observer("alice")
         force_observe(u, o, first_observable(), "Y")
         probs = u.branch_probabilities(o, second_observable())
