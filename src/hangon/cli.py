@@ -39,7 +39,7 @@ from .scenarios import (
     screen_visibility,
 )
 from .rng import RngStream
-from .verify import run_suite
+from .verify import DEFAULT_MASTER_SEED, run_suite
 
 _PERSPECTIVE_FLAGS = {"idler-first": "idler_first", "signal-first": "signal_first"}
 _ORDER_FLAGS = {"alice-first": "alice_first", "bob-record-first": "bob_record_first"}
@@ -113,15 +113,21 @@ def _merged_settings(args, config: dict) -> dict:
     return merged
 
 
-def _require_int(settings: dict, key: str, default: int, minimum: int) -> int:
-    raw = settings.get(key, default)
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"field {key!r}: expected an integer, got {raw!r}")
+def _require_int(name: str, value, minimum: int) -> int:
+    """``value`` if it is a JSON integer (a bool is not) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"field {name!r}: expected an integer, got {value!r}")
     if value < minimum:
-        raise ConfigError(f"field {key!r}: must be >= {minimum}, got {value}")
+        raise ConfigError(f"field {name!r}: must be >= {minimum}, got {value}")
     return value
+
+
+def _require_seed(value) -> int:
+    """A seed for ``run``, ``verify`` or ``trace``: an integer in [0, 2**64)."""
+    seed = _require_int("seed", value, 0)
+    if seed >= 2**64:
+        raise ConfigError(f"field 'seed': must be < 2**64, got {seed}")
+    return seed
 
 
 def _geometry(settings: dict):
@@ -132,11 +138,12 @@ def _geometry(settings: dict):
         raise ConfigError(f"field 'geometry': expected an object, got {geo_cfg!r}")
     geo_cfg = dict(geo_cfg)
     if "bins" in settings or "bins" not in geo_cfg:
-        bins = _require_int(settings, "bins", 512, 2)
+        bins = _require_int("bins", settings.get("bins", 512), 2)
         if geo_cfg.setdefault("bins", bins) != bins:
             raise ConfigError(
                 f"field 'bins' is {bins} but field 'geometry.bins' is {geo_cfg['bins']!r}"
             )
+    _require_int("geometry.bins", geo_cfg["bins"], 2)
     try:
         return geometry_from_config(geo_cfg)
     except (ValueError, TypeError) as e:
@@ -167,7 +174,7 @@ def _counts_payload(counts: dict) -> dict:
 
 
 def _run_eraser(settings: dict, seed: int, out_format: str) -> tuple[RunReport, dict]:
-    n = _require_int(settings, "n", 100_000, 1)
+    n = _require_int("n", settings.get("n", 100_000), 1)
     geometry = _geometry(settings)
     perspective = settings.get("perspective", "idler_first")
     bs_present = settings.get("bs_present", True)
@@ -221,7 +228,7 @@ def _counts_run(scenario: str, config: dict, run, out_format: str) -> tuple[RunR
 
 
 def _run_epr(settings: dict, seed: int, out_format: str) -> tuple[RunReport, dict]:
-    n = _require_int(settings, "n", 10_000, 1)
+    n = _require_int("n", settings.get("n", 10_000), 1)
     order = settings.get("order", "alice_first")
     run = run_epr(order, n, seed)
     report, files = _counts_run("epr", {"order": order, "n": n, "seed": seed}, run, out_format)
@@ -234,7 +241,7 @@ def _run_epr(settings: dict, seed: int, out_format: str) -> tuple[RunReport, dic
 
 
 def _run_eq9(settings: dict, seed: int, out_format: str) -> tuple[RunReport, dict]:
-    n = _require_int(settings, "n", 30_000, 1)
+    n = _require_int("n", settings.get("n", 30_000), 1)
     run = run_partial_pair(n, seed)
     report, files = _counts_run("eq9", {"n": n, "seed": seed}, run, out_format)
     report.add_check(
@@ -246,7 +253,7 @@ def _run_eq9(settings: dict, seed: int, out_format: str) -> tuple[RunReport, dic
 
 
 def _run_double_slit(settings: dict, seed: int, out_format: str) -> tuple[RunReport, dict]:
-    n = _require_int(settings, "n", 100_000, 1)
+    n = _require_int("n", settings.get("n", 100_000), 1)
     geometry = _geometry(settings)
     hits = sample_screen_hits(geometry, n, RngStream(seed))
     hist = histogram_from_positions(geometry, hits)
@@ -291,7 +298,7 @@ _SCENARIOS = {
 
 def cmd_run(args) -> int:
     settings = _merged_settings(args, _load_config(args.config))
-    seed = _require_int(settings, "seed", 0, 0)
+    seed = _require_seed(settings.get("seed", 0))
     report, files = _SCENARIOS[args.scenario](settings, seed, args.out)
     files[f"{args.scenario.replace('-', '_')}_report.json"] = report.to_json() + "\n"
     for name, text in files.items():
@@ -301,7 +308,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_suite(args.suite, master_seed=args.seed if args.seed is not None else 7)
+    report = run_suite(args.suite, master_seed=_require_seed(args.seed))
     print(report.format_table())
     if args.report is not None:
         _write(Path(args.report), report.to_canonical_json() + "\n")
@@ -309,7 +316,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    seed = args.seed if args.seed is not None else 0
+    seed = _require_seed(args.seed)
     if args.scenario == "empty":
         universe, ledger = run_empty_trace(), ""
     else:
@@ -355,13 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_p = sub.add_parser("verify", help="run the verification suite")
     verify_p.add_argument("suite", choices=["all", "fast"])
-    verify_p.add_argument("--seed", type=int, default=None, help="master seed")
+    verify_p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED, help="master seed")
     verify_p.add_argument("--report", default=None, help="write the canonical report here")
     verify_p.set_defaults(fn=cmd_verify)
 
     trace_p = sub.add_parser("trace", help="export a branch trace")
     trace_p.add_argument("scenario", choices=["needle", "eraser", "empty"])
-    trace_p.add_argument("--seed", type=int, default=None)
+    trace_p.add_argument("--seed", type=int, default=0)
     trace_p.add_argument("--bs", action=argparse.BooleanOptionalAction, default=None)
     trace_p.add_argument("--out", default=None, help="write the trace here")
     trace_p.set_defaults(fn=cmd_trace)

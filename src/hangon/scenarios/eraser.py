@@ -38,9 +38,15 @@ _HALF = 0.5
 _EIGHTH = 1.0 / (2.0 * math.sqrt(2.0))
 
 
+def _check_perspective(perspective: str) -> None:
+    if perspective not in PERSPECTIVES:
+        raise ConfigError(f"perspective must be one of {PERSPECTIVES}")
+
+
 @dataclass(frozen=True)
 class EraserConfig:
-    """One eraser run: beam-splitter choice, measurement order, size, seed."""
+    """One sampled eraser run: beam-splitter choice, measurement order, size,
+    seed. The analytic functions take only ``(bs_present, geometry)``."""
 
     bs_present: bool
     perspective: str
@@ -49,8 +55,7 @@ class EraserConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.perspective not in PERSPECTIVES:
-            raise ConfigError(f"perspective must be one of {PERSPECTIVES}")
+        _check_perspective(self.perspective)
         if self.n_photons < 1:
             raise ConfigError("n_photons must be at least 1")
 
@@ -63,14 +68,11 @@ def path_subsystem() -> Subsystem:
     return Subsystem("path", PATHS)
 
 
-def branch_amplitudes(
-    bs_present: bool, *, printed_equation: bool = False
-) -> dict[tuple[str, str], complex]:
+def branch_amplitudes(bs_present: bool) -> dict[tuple[str, str], complex]:
     """Amplitude per (detector, path) branch.
 
-    ``printed_equation`` keeps D2 in phase with D1 (both +), the variant that
-    breaks the pairwise fringe cancellation; it exists so tests can show that
-    it fails the "union equals no interference" identity.
+    With the beam splitter in, D2's lower-path branch is anti-phased to D1's;
+    keeping it in phase would break the pairwise fringe cancellation.
     """
     if not bs_present:
         return {
@@ -79,34 +81,27 @@ def branch_amplitudes(
             ("D3", "L"): _HALF,
             ("D4", "U"): _HALF,
         }
-    d2_sign = 1.0 if printed_equation else -1.0
     return {
         ("D1", "U"): _EIGHTH,
         ("D1", "L"): _EIGHTH,
         ("D2", "U"): _EIGHTH,
-        ("D2", "L"): d2_sign * _EIGHTH,
+        ("D2", "L"): -_EIGHTH,
         ("D3", "L"): _HALF,
         ("D4", "U"): _HALF,
     }
 
 
-def _discrete_state(bs_present: bool, printed_equation: bool) -> StateVector:
+def eraser_state(bs_present: bool) -> StateVector:
+    """The discrete (detector, path) state with or without the beam splitter."""
     det, path = detector_subsystem(), path_subsystem()
-    amps = branch_amplitudes(bs_present, printed_equation=printed_equation)
+    amps = branch_amplitudes(bs_present)
     return make_state([det, path], [((d, p), a) for (d, p), a in amps.items()])
 
 
-def eraser_state(cfg: EraserConfig, *, printed_equation: bool = False) -> StateVector:
-    """The discrete (detector, path) state for the configured device."""
-    return _discrete_state(cfg.bs_present, printed_equation)
-
-
-def build_eraser_universe(
-    bs_present: bool, *, record: bool = False, printed_equation: bool = False
-) -> Universe:
+def build_eraser_universe(bs_present: bool, *, record: bool = False) -> Universe:
     """Universe over the discrete eraser state; optionally with a record
     pointer subsystem for the observer who measured the signal side."""
-    state = _discrete_state(bs_present, printed_equation)
+    state = eraser_state(bs_present)
     if record:
         rec = Subsystem("signal_record", ("ready",) + PATHS)
         state = tensor(state, make_state([rec], [(("ready",), 1.0)]))
@@ -134,14 +129,14 @@ def slit_mode_vectors(g: SlitGeometry) -> tuple[np.ndarray, np.ndarray]:
     return psi_up, psi_low
 
 
-def joint_density(cfg: EraserConfig, *, printed_equation: bool = False) -> np.ndarray:
+def joint_density(bs_present: bool, g: SlitGeometry) -> np.ndarray:
     """Joint detection distribution over (detector, screen bin), summing to 1.
 
     Row i is |sum over paths of branch_amplitude(i, path) * mode_path|^2.
     """
-    psi = dict(zip(PATHS, slit_mode_vectors(cfg.geometry)))
-    amps = branch_amplitudes(cfg.bs_present, printed_equation=printed_equation)
-    rho = np.zeros((len(DETECTORS), len(cfg.geometry.screen_positions)))
+    psi = dict(zip(PATHS, slit_mode_vectors(g)))
+    amps = branch_amplitudes(bs_present)
+    rho = np.zeros((len(DETECTORS), len(g.screen_positions)))
     for i, det in enumerate(DETECTORS):
         wave = np.zeros_like(psi["U"])
         for p in PATHS:
@@ -163,12 +158,10 @@ def d0_marginal_density(g: SlitGeometry) -> np.ndarray:
     return m / m.sum()
 
 
-def detector_conditional_given_bin(
-    cfg: EraserConfig, *, printed_equation: bool = False
-) -> np.ndarray:
+def detector_conditional_given_bin(bs_present: bool, g: SlitGeometry) -> np.ndarray:
     """Row-stochastic (bin, detector) matrix: which detector the idler twin
     lands in, given the signal photon's recorded position."""
-    rho = joint_density(cfg, printed_equation=printed_equation)
+    rho = joint_density(bs_present, g)
     col = rho.sum(axis=0)
     return (rho / col).T
 
@@ -176,19 +169,18 @@ def detector_conditional_given_bin(
 def no_signaling_check(g: SlitGeometry) -> float:
     """Max pointwise difference of the screen marginal with and without the
     beam splitter; the pairwise fringe cancellation makes this vanish."""
-    base = EraserConfig(True, "idler_first", 1, g, 0)
-    with_bs = joint_density(base).sum(axis=0)
-    without = joint_density(EraserConfig(False, "idler_first", 1, g, 0)).sum(axis=0)
+    with_bs = joint_density(True, g).sum(axis=0)
+    without = joint_density(False, g).sum(axis=0)
     return float(np.max(np.abs(with_bs - without)))
 
 
-def detector_envelope(cfg: EraserConfig, detector: str) -> np.ndarray:
+def detector_envelope(bs_present: bool, g: SlitGeometry, detector: str) -> np.ndarray:
     """Fringe-free (incoherent) screen density for one detector: the null
     model for oscillation fits."""
-    psi = dict(zip(PATHS, slit_mode_vectors(cfg.geometry)))
-    env = np.zeros(len(cfg.geometry.screen_positions))
+    psi = dict(zip(PATHS, slit_mode_vectors(g)))
+    env = np.zeros(len(g.screen_positions))
     for p in PATHS:
-        a = branch_amplitudes(cfg.bs_present).get((detector, p))
+        a = branch_amplitudes(bs_present).get((detector, p))
         if a is not None:
             env += abs(a) ** 2 * np.abs(psi[p]) ** 2
     return env
@@ -231,12 +223,12 @@ def _sample_idler_first(cfg: EraserConfig, rho: np.ndarray, rng: RngStream):
     return dets, bins
 
 
-def _sample_signal_first(cfg: EraserConfig, rng: RngStream, *, printed_equation: bool):
+def _sample_signal_first(cfg: EraserConfig, rng: RngStream):
     # Screen positions first, from the choice-independent marginal; the
     # configured wave function is consulted only for the detector labels.
     marginal = d0_marginal_density(cfg.geometry)
     bins = rng.sample_indices(marginal, cfg.n_photons)
-    cond = detector_conditional_given_bin(cfg, printed_equation=printed_equation)
+    cond = detector_conditional_given_bin(cfg.bs_present, cfg.geometry)
     cdf_rows = np.cumsum(cond, axis=1)[bins]
     u = rng.randoms(cfg.n_photons)
     dets = np.minimum(
@@ -245,14 +237,14 @@ def _sample_signal_first(cfg: EraserConfig, rng: RngStream, *, printed_equation:
     return dets, bins
 
 
-def run_eraser(cfg: EraserConfig, *, printed_equation: bool = False) -> EraserRun:
+def run_eraser(cfg: EraserConfig) -> EraserRun:
     """Sample the configured run and build per-detector fringe histograms."""
-    rho = joint_density(cfg, printed_equation=printed_equation)
+    rho = joint_density(cfg.bs_present, cfg.geometry)
     rng = RngStream(cfg.seed)
     if cfg.perspective == "idler_first":
         dets, bins = _sample_idler_first(cfg, rho, rng)
     else:
-        dets, bins = _sample_signal_first(cfg, rng, printed_equation=printed_equation)
+        dets, bins = _sample_signal_first(cfg, rng)
 
     nbins = rho.shape[1]
     joint_counts = np.zeros((len(DETECTORS), nbins), dtype=int)
@@ -260,13 +252,11 @@ def run_eraser(cfg: EraserConfig, *, printed_equation: bool = False) -> EraserRu
 
     edges = cfg.geometry.bin_edges
     histograms = {
-        det: FringeHistogram(edges, joint_counts[i], det)
+        det: FringeHistogram(edges, joint_counts[i])
         for i, det in enumerate(DETECTORS)
     }
-    histograms["D1+D2"] = FringeHistogram(
-        edges, joint_counts[0] + joint_counts[1], "D1+D2"
-    )
-    histograms["total"] = FringeHistogram(edges, joint_counts.sum(axis=0), None)
+    histograms["D1+D2"] = FringeHistogram(edges, joint_counts[0] + joint_counts[1])
+    histograms["total"] = FringeHistogram(edges, joint_counts.sum(axis=0))
     detector_counts = {
         det: int(joint_counts[i].sum()) for i, det in enumerate(DETECTORS)
     }
@@ -274,12 +264,13 @@ def run_eraser(cfg: EraserConfig, *, printed_equation: bool = False) -> EraserRu
 
 
 def analytic_joint_by_perspective(
-    cfg: EraserConfig, *, printed_equation: bool = False
+    bs_present: bool, g: SlitGeometry, perspective: str
 ) -> np.ndarray:
-    """The joint (detector, bin) distribution computed along the configured
+    """The joint (detector, bin) distribution computed along the given
     perspective's own factorization; both perspectives must agree."""
-    if cfg.perspective == "idler_first":
-        return joint_density(cfg, printed_equation=printed_equation)
-    marginal = d0_marginal_density(cfg.geometry)
-    cond = detector_conditional_given_bin(cfg, printed_equation=printed_equation)
+    _check_perspective(perspective)
+    if perspective == "idler_first":
+        return joint_density(bs_present, g)
+    marginal = d0_marginal_density(g)
+    cond = detector_conditional_given_bin(bs_present, g)
     return (cond * marginal[:, None]).T

@@ -17,14 +17,17 @@ from scipy.stats import chi2
 
 from .geometry import SlitGeometry, nearest_bins
 
+# Cells of a two-sample chi-square test whose combined count falls below this
+# are pooled into one remainder cell.
+MIN_POOL = 10
+
 
 @dataclass(frozen=True, eq=False)
 class FringeHistogram:
-    """Counts per screen bin, optionally conditioned on a detector class."""
+    """Counts per screen bin."""
 
     bin_edges: np.ndarray
     counts: np.ndarray
-    condition: str | None = None
 
     def __post_init__(self) -> None:
         edges = np.asarray(self.bin_edges, dtype=float)
@@ -45,11 +48,9 @@ class FringeHistogram:
         return int(self.counts.sum())
 
 
-def histogram_from_positions(
-    g: SlitGeometry, positions: np.ndarray, condition: str | None = None
-) -> FringeHistogram:
+def histogram_from_positions(g: SlitGeometry, positions: np.ndarray) -> FringeHistogram:
     counts = np.bincount(nearest_bins(g, positions), minlength=len(g.screen_positions))
-    return FringeHistogram(g.bin_edges, counts, condition)
+    return FringeHistogram(g.bin_edges, counts)
 
 
 def visibility(values: np.ndarray, max_bins: np.ndarray, min_bins: np.ndarray) -> float:
@@ -125,11 +126,11 @@ def oscillation_fit(
 
 
 def chi_square_two_sample(
-    counts_a: np.ndarray, counts_b: np.ndarray, min_pool: float = 10.0
+    counts_a: np.ndarray, counts_b: np.ndarray
 ) -> tuple[float, int, float]:
     """Two-sample chi-square homogeneity test over matching cells.
 
-    Cells whose combined count falls below ``min_pool`` are pooled into one
+    Cells whose combined count falls below ``MIN_POOL`` are pooled into one
     remainder cell. Returns (statistic, dof, p_value).
     """
     a = np.asarray(counts_a, dtype=float).ravel()
@@ -137,7 +138,7 @@ def chi_square_two_sample(
     if a.shape != b.shape:
         raise ValueError("count tables must have identical shape")
     combined = a + b
-    big = combined >= min_pool
+    big = combined >= MIN_POOL
     cells_a = list(a[big])
     cells_b = list(b[big])
     if np.any(~big):

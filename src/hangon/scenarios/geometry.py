@@ -23,8 +23,6 @@ from ..rng import RngStream
 # (far-field) approximation of the momentum measurement.
 FAR_FIELD_RATIO = 100.0
 
-_WHICH = ("both", "upper", "lower")
-
 
 @dataclass(frozen=True, eq=False)
 class SlitGeometry:
@@ -148,26 +146,17 @@ def slit_wave_arrays(g: SlitGeometry) -> tuple[np.ndarray, np.ndarray]:
     return psi_up, psi_low
 
 
-def screen_density(g: SlitGeometry, which: str = "both") -> np.ndarray:
-    """|amplitude|^2 over the screen samples; ``which`` selects two-slit
-    interference or a single contributing slit (test hook)."""
-    if which not in _WHICH:
-        raise ValueError(f"which must be one of {_WHICH}")
+def screen_density(g: SlitGeometry) -> np.ndarray:
+    """Two-slit |amplitude|^2 over the screen samples."""
     psi_up, psi_low = slit_wave_arrays(g)
-    if which == "upper":
-        return np.abs(psi_up) ** 2
-    if which == "lower":
-        return np.abs(psi_low) ** 2
     return np.abs(psi_up + psi_low) ** 2
 
 
-def sample_screen_hits(
-    g: SlitGeometry, n: int, rng: RngStream, which: str = "both"
-) -> np.ndarray:
+def sample_screen_hits(g: SlitGeometry, n: int, rng: RngStream) -> np.ndarray:
     """n screen positions Born-sampled from the discretized density."""
     if n < 1:
         raise ValueError("need at least one sample")
-    density = screen_density(g, which)
+    density = screen_density(g)
     idx = rng.sample_indices(density, n)
     return g.screen_positions[idx]
 

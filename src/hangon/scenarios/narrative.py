@@ -43,14 +43,12 @@ class NeedleNarrative:
         return Proposition("needle", self.needle_outcome, self.t_happened)
 
 
-def run_needle_narrative(
-    seed: int, amp_plus: float = 0.6, amp_minus: float = 0.8
-) -> NeedleNarrative:
-    """The Sunday/Monday script with an arbitrary initial superposition."""
+def run_needle_narrative(seed: int) -> NeedleNarrative:
+    """The Sunday/Monday script over the spin state 0.6|+> + 0.8|->."""
     spin = Subsystem("spin", ("+", "-"))
     needle = Subsystem("needle", ("ready", "up", "down"))
     watcher = Subsystem("watcher", ("ready", "saw_up", "saw_down"))
-    state = make_state([spin], [(("+",), amp_plus), (("-",), amp_minus)])
+    state = make_state([spin], [(("+",), 0.6), (("-",), 0.8)])
     state = tensor(state, make_state([needle], [(("ready",), 1.0)]))
     state = tensor(state, make_state([watcher], [(("ready",), 1.0)]))
     u = create_universe(state)

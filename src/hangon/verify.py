@@ -296,8 +296,7 @@ def check_eraser_uniformity(seed: int, fast: bool) -> CheckResult:
     analytic = {}
     ok = True
     for bs in (True, False):
-        cfg = EraserConfig(bs, "idler_first", 1, default_geometry(16), 0)
-        state = eraser_state(cfg)
+        state = eraser_state(bs)
         probs = {
             det: outcome_probability(state, detector_observable(), det)
             for det in DETECTORS
@@ -319,10 +318,8 @@ def check_eraser_uniformity(seed: int, fast: bool) -> CheckResult:
 
 def check_eraser_fringes(seed: int, fast: bool) -> CheckResult:
     g = default_geometry()
-    cfg_bs = EraserConfig(True, "idler_first", 100_000, g, seed)
-    cfg_no = EraserConfig(False, "idler_first", 100_000, g, seed + 1)
-    rho_bs = joint_density(cfg_bs)
-    rho_no = joint_density(cfg_no)
+    rho_bs = joint_density(True, g)
+    rho_no = joint_density(False, g)
     pair_residual = float(np.max(np.abs((rho_bs[0] + rho_bs[1]) - (rho_no[0] + rho_no[1]))))
     half_total_residual = float(np.max(np.abs((rho_bs[0] + rho_bs[1]) - rho_bs.sum(axis=0) / 2)))
     ok = pair_residual <= ANALYTIC_TOL and half_total_residual <= ANALYTIC_TOL
@@ -333,22 +330,22 @@ def check_eraser_fringes(seed: int, fast: bool) -> CheckResult:
     sampled: dict = {}
     if not fast:
         phase = fringe_phase(g)
-        run_bs = run_eraser(cfg_bs)
+        run_bs = run_eraser(EraserConfig(True, "idler_first", 100_000, g, seed))
         maxima, minima = fringe_extrema(g)
         v_analytic, v_sampled, se = screen_visibility(
             g, maxima, minima, rho_bs[0], run_bs.histograms["D1"].counts
         )
         z = (v_sampled - v_analytic) / se
+        run_no = run_eraser(EraserConfig(False, "idler_first", 100_000, g, seed + 1))
         flat_ratios = {}
         fits = (
-            ("", cfg_bs, run_bs, ("D3", "D4")),
-            ("no_bs_", cfg_no, run_eraser(cfg_no), DETECTORS),
+            ("", run_bs, ("D3", "D4")),
+            ("no_bs_", run_no, DETECTORS),
         )
-        for prefix, cfg, run, detectors in fits:
+        for prefix, run, detectors in fits:
             for det in detectors:
-                amp, sigma = oscillation_fit(
-                    run.histograms[det].counts, detector_envelope(cfg, det), phase
-                )
+                envelope = detector_envelope(run.config.bs_present, g, det)
+                amp, sigma = oscillation_fit(run.histograms[det].counts, envelope, phase)
                 flat_ratios[prefix + det] = amp / sigma
         sampled = {
             "n": 100_000,
@@ -395,8 +392,8 @@ def check_perspective_equivalence(seed: int, fast: bool) -> CheckResult:
     g = default_geometry()
     worst = 0.0
     for bs in (True, False):
-        ji = analytic_joint_by_perspective(EraserConfig(bs, "idler_first", 1, g, 0))
-        js = analytic_joint_by_perspective(EraserConfig(bs, "signal_first", 1, g, 0))
+        ji = analytic_joint_by_perspective(bs, g, "idler_first")
+        js = analytic_joint_by_perspective(bs, g, "signal_first")
         worst = max(worst, float(np.max(np.abs(ji - js))))
     ok = worst <= ANALYTIC_TOL
     analytic = {"worst_joint_residual": worst}

@@ -201,6 +201,47 @@ class TestConfigErrors:
         assert code == 2
         assert "'geometry'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scenario, settings, name",
+        [
+            ("eq9", {"n": 2.7}, "'n'"),
+            ("eq9", {"n": True}, "'n'"),
+            ("epr", {"n": "100"}, "'n'"),
+            ("eq9", {"n": 100, "seed": True}, "'seed'"),
+            ("eq9", {"n": 100, "seed": 3.0}, "'seed'"),
+            ("double-slit", {"n": 100, "bins": 64.0}, "'bins'"),
+            ("double-slit", {"n": 100, "geometry": {"bins": 64.9}}, "'geometry.bins'"),
+            ("eraser", {"n": 100, "geometry": {"bins": 128.0}}, "'geometry.bins'"),
+        ],
+    )
+    def test_non_integer_field(self, tmp_path, capsys, scenario, settings, name):
+        # Only a JSON integer passes; int() would truncate or coerce these.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        code = run_cli("run", scenario, "--config", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert name in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_report.json"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "fast", "--seed", "-1"),
+            ("verify", "fast", "--seed", str(2**64)),
+            ("trace", "needle", "--seed", "-1"),
+            ("trace", "eraser", "--seed", str(2**64)),
+            ("run", "eq9", "--n", "10", "--seed", str(2**64)),
+            ("run", "eq9", "--n", "10", "--seed", str(2**128)),
+        ],
+    )
+    def test_seed_out_of_range(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)  # where a run that wrongly succeeds writes
+        assert run_cli(*argv) == 2
+        assert "'seed'" in capsys.readouterr().err
+
+    def test_largest_seed_accepted(self, capsys):
+        assert run_cli("trace", "needle", "--seed", str(2**64 - 1)) == 0
+
     def test_unknown_flag_value(self, capsys):
         assert run_cli("run", "eraser", "--perspective", "sideways") == 2
 

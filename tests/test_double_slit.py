@@ -21,6 +21,7 @@ from hangon.scenarios import (
     sample_momentum_clicks,
     sample_screen_hits,
     screen_density,
+    slit_wave_arrays,
     visibility,
     visibility_stderr,
 )
@@ -185,13 +186,13 @@ class TestScreenSampling:
         assert abs(v_sampled - v_analytic) < 3 * se
 
     def test_single_slit_has_no_fringes(self):
+        # Born-sample the upper slit's wave alone, through the same draw path
+        # as sample_screen_hits.
         g = default_geometry()
-        hist = histogram_from_positions(
-            g, sample_screen_hits(g, 100_000, RngStream(12), which="upper")
-        )
-        amp, sigma = oscillation_fit(
-            hist.counts, screen_density(g, "upper"), fringe_phase(g)
-        )
+        upper = np.abs(slit_wave_arrays(g)[0]) ** 2
+        hits = g.screen_positions[RngStream(12).sample_indices(upper, 100_000)]
+        hist = histogram_from_positions(g, hits)
+        amp, sigma = oscillation_fit(hist.counts, upper, fringe_phase(g))
         assert amp < 3 * sigma
 
     def test_one_sample_lands_on_screen(self):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 from hangon import ConfigError, outcome_probability
 from hangon.engine import force_observe
@@ -11,7 +12,6 @@ from hangon.scenarios import (
     DETECTORS,
     EraserConfig,
     analytic_joint_by_perspective,
-    branch_amplitudes,
     build_eraser_universe,
     chi_square_two_sample,
     d0_marginal_density,
@@ -27,6 +27,7 @@ from hangon.scenarios import (
     oscillation_fit,
     path_observable,
     run_eraser,
+    slit_mode_vectors,
     visibility,
     visibility_stderr,
 )
@@ -34,14 +35,30 @@ from hangon.scenarios.geometry import random_geometry
 
 EIGHTH = 1.0 / (2.0 * math.sqrt(2.0))
 
+# The variant that keeps D2 in phase with D1 on both paths. It breaks the
+# pairwise fringe cancellation, so it is a counterexample, not a device.
+IN_PHASE_AMPLITUDES = {
+    ("D1", "U"): EIGHTH,
+    ("D1", "L"): EIGHTH,
+    ("D2", "U"): EIGHTH,
+    ("D2", "L"): EIGHTH,
+    ("D3", "L"): 0.5,
+    ("D4", "U"): 0.5,
+}
 
-def cfg_for(bs: bool, perspective: str = "idler_first", n: int = 1, seed: int = 0):
-    return EraserConfig(bs, perspective, n, default_geometry(), seed)
+
+def in_phase_joint_density(g) -> np.ndarray:
+    psi = dict(zip(("U", "L"), slit_mode_vectors(g)))
+    rho = np.zeros((len(DETECTORS), len(g.screen_positions)))
+    for i, det in enumerate(DETECTORS):
+        wave = sum(a * psi[p] for (d, p), a in IN_PHASE_AMPLITUDES.items() if d == det)
+        rho[i] = np.abs(wave) ** 2
+    return rho / rho.sum()
 
 
 class TestDiscreteState:
     def test_with_beam_splitter_branches(self):
-        s = eraser_state(cfg_for(True))
+        s = eraser_state(True)
         assert abs(s.amplitude(("D1", "U")) - EIGHTH) < 1e-15
         assert abs(s.amplitude(("D1", "L")) - EIGHTH) < 1e-15
         assert abs(s.amplitude(("D2", "U")) - EIGHTH) < 1e-15
@@ -52,21 +69,17 @@ class TestDiscreteState:
         assert s.amplitude(("D4", "L")) == 0j
 
     def test_without_beam_splitter_branches(self):
-        s = eraser_state(cfg_for(False))
+        s = eraser_state(False)
         for det, path in (("D1", "U"), ("D2", "L"), ("D3", "L"), ("D4", "U")):
             assert abs(s.amplitude((det, path)) - 0.5) < 1e-15
         assert s.term_count() == 4
 
     @pytest.mark.parametrize("bs", [True, False])
     def test_detector_marginal_is_uniform(self, bs):
-        s = eraser_state(cfg_for(bs))
+        s = eraser_state(bs)
         for det in DETECTORS:
             p = outcome_probability(s, detector_observable(), det)
             assert p == pytest.approx(0.25, abs=1e-12)
-
-    def test_printed_equation_variant_keeps_d2_in_phase(self):
-        s = eraser_state(cfg_for(True), printed_equation=True)
-        assert abs(s.amplitude(("D2", "L")) - EIGHTH) < 1e-15
 
 
 class TestHangOnBranches:
@@ -107,14 +120,15 @@ class TestHangOnBranches:
 class TestJointDensity:
     def test_sums_to_one(self):
         for bs in (True, False):
-            rho = joint_density(cfg_for(bs))
+            rho = joint_density(bs, default_geometry())
             assert rho.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_pi_shift_cancellation_pointwise(self):
         # D1+D2 with the beam splitter equals D1+D2 without it, bin by bin,
         # and equals half the unconditioned marginal.
-        rho_bs = joint_density(cfg_for(True))
-        rho_no = joint_density(cfg_for(False))
+        g = default_geometry()
+        rho_bs = joint_density(True, g)
+        rho_no = joint_density(False, g)
         d12_bs = rho_bs[0] + rho_bs[1]
         d12_no = rho_no[0] + rho_no[1]
         assert np.max(np.abs(d12_bs - d12_no)) <= 1e-12
@@ -124,7 +138,7 @@ class TestJointDensity:
         # At the central fringe maximum D1 dominates; D2 picks up the slack
         # exactly where D1 dips.
         g = default_geometry()
-        rho = joint_density(cfg_for(True))
+        rho = joint_density(True, g)
         maxima, minima = fringe_extrema(g)
         center_max = nearest_bins(g, maxima)[np.argmin(np.abs(maxima))]
         center_min = nearest_bins(g, minima)[np.argmin(np.abs(minima))]
@@ -134,8 +148,9 @@ class TestJointDensity:
     def test_printed_equation_breaks_the_cancellation(self):
         # Keeping D1 and D2 in phase makes their union show fringes, which
         # would let the screen alone reveal the beam-splitter choice.
-        rho_printed = joint_density(cfg_for(True), printed_equation=True)
-        rho_no = joint_density(cfg_for(False))
+        g = default_geometry()
+        rho_printed = in_phase_joint_density(g)
+        rho_no = joint_density(False, g)
         residual = np.max(np.abs(rho_printed[0] + rho_printed[1] - (rho_no[0] + rho_no[1])))
         assert residual > 1e-6
 
@@ -157,9 +172,10 @@ class TestJointDensity:
 
 class TestPerspectives:
     def test_analytic_joints_identical(self):
+        g = default_geometry()
         for bs in (True, False):
-            ji = analytic_joint_by_perspective(cfg_for(bs, "idler_first"))
-            js = analytic_joint_by_perspective(cfg_for(bs, "signal_first"))
+            ji = analytic_joint_by_perspective(bs, g, "idler_first")
+            js = analytic_joint_by_perspective(bs, g, "signal_first")
             assert np.max(np.abs(ji - js)) <= 1e-12
 
     def test_sampled_perspectives_agree_by_chi_square(self):
@@ -172,10 +188,34 @@ class TestPerspectives:
     def test_bad_perspective_rejected(self):
         with pytest.raises(ConfigError):
             EraserConfig(True, "gods_point_of_view", 10, default_geometry(), 0)
+        with pytest.raises(ConfigError):
+            analytic_joint_by_perspective(True, default_geometry(), "gods_point_of_view")
 
     def test_bad_photon_count_rejected(self):
         with pytest.raises(ConfigError):
             EraserConfig(True, "idler_first", 0, default_geometry(), 0)
+
+
+class TestChiSquareTwoSample:
+    def test_unpooled_table_matches_scipy(self):
+        a = np.array([40, 25, 31, 12, 18])
+        b = np.array([35, 30, 20, 15, 22])
+        stat, dof, p = chi_square_two_sample(a, b)
+        want = chi2_contingency(np.vstack([a, b]), correction=False)
+        assert stat == pytest.approx(want.statistic, rel=1e-12)
+        assert dof == want.dof == 4
+        assert p == pytest.approx(want.pvalue, rel=1e-12)
+
+    def test_cells_under_ten_are_pooled(self):
+        # Combined counts 50, 50, 7, 3: the last two cells pool into one
+        # remainder cell (5 against 5). With 55 counts per sample each of the
+        # first two cells adds (55*30 - 55*20)^2 / (55*55*50) = 2 and the
+        # remainder adds 0, so the statistic is 4 on 3 - 1 = 2 degrees of
+        # freedom, whose survival function is exp(-4/2).
+        stat, dof, p = chi_square_two_sample(np.array([30, 20, 3, 2]), np.array([20, 30, 4, 1]))
+        assert stat == pytest.approx(4.0, rel=1e-12)
+        assert dof == 2
+        assert p == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
 class TestRuns:
@@ -211,12 +251,12 @@ class TestRuns:
         phase = fringe_phase(g)
         for det in ("D3", "D4"):
             amp, sigma = oscillation_fit(
-                run.histograms[det].counts, detector_envelope(cfg, det), phase
+                run.histograms[det].counts, detector_envelope(True, g, det), phase
             )
             assert amp < 3 * sigma
         # Positive control: D1 itself shows an unmistakable oscillation.
         amp, sigma = oscillation_fit(
-            run.histograms["D1"].counts, detector_envelope(cfg, "D1"), phase
+            run.histograms["D1"].counts, detector_envelope(True, g, "D1"), phase
         )
         assert amp > 10 * sigma
 
@@ -227,14 +267,14 @@ class TestRuns:
         phase = fringe_phase(g)
         for det in DETECTORS:
             amp, sigma = oscillation_fit(
-                run.histograms[det].counts, detector_envelope(cfg, det), phase
+                run.histograms[det].counts, detector_envelope(False, g, det), phase
             )
             assert amp < 3 * sigma
 
     def test_no_bs_splits_evenly_per_path_class(self):
         # Without the beam splitter, U-path photons divide evenly between D1
         # and D4, L-path photons between D2 and D3.
-        rho = joint_density(cfg_for(False))
+        rho = joint_density(False, default_geometry())
         masses = rho.sum(axis=1)
         for m in masses:
             assert m == pytest.approx(0.25, abs=1e-12)
