@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -130,6 +131,17 @@ def _require_seed(value) -> int:
     return seed
 
 
+def _require_finite(name: str, value) -> None:
+    """Reject ``value`` unless it is a finite JSON number (a bool is not)."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise ConfigError(f"field {name!r}: expected a finite number, got {value!r}")
+
+
 def _geometry(settings: dict):
     """Screen geometry from the ``geometry`` field. A ``bins`` flag or
     top-level field must agree with ``geometry.bins`` when both are given."""
@@ -144,6 +156,18 @@ def _geometry(settings: dict):
                 f"field 'bins' is {bins} but field 'geometry.bins' is {geo_cfg['bins']!r}"
             )
     _require_int("geometry.bins", geo_cfg["bins"], 2)
+    for key in ("wavenumber", "screen_distance", "screen_min", "screen_max"):
+        if key in geo_cfg:
+            _require_finite(f"geometry.{key}", geo_cfg[key])
+    for key in ("slit_upper", "slit_lower", "detector_position"):
+        if key in geo_cfg:
+            point = geo_cfg[key]
+            if not isinstance(point, list) or len(point) != 2:
+                raise ConfigError(
+                    f"field 'geometry.{key}': expected an array of 2 numbers, got {point!r}"
+                )
+            for value in point:
+                _require_finite(f"geometry.{key}", value)
     try:
         return geometry_from_config(geo_cfg)
     except (ValueError, TypeError) as e:

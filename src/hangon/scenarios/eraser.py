@@ -34,6 +34,10 @@ DETECTORS = ("D1", "D2", "D3", "D4")
 PATHS = ("U", "L")
 PERSPECTIVES = ("idler_first", "signal_first")
 
+_DETECTOR = Subsystem("detector", DETECTORS)
+_PATH = Subsystem("path", PATHS)
+_SIGNAL_RECORD = Subsystem("signal_record", ("ready",) + PATHS)
+
 _HALF = 0.5
 _EIGHTH = 1.0 / (2.0 * math.sqrt(2.0))
 
@@ -58,14 +62,6 @@ class EraserConfig:
         _check_perspective(self.perspective)
         if self.n_photons < 1:
             raise ConfigError("n_photons must be at least 1")
-
-
-def detector_subsystem() -> Subsystem:
-    return Subsystem("detector", DETECTORS)
-
-
-def path_subsystem() -> Subsystem:
-    return Subsystem("path", PATHS)
 
 
 def branch_amplitudes(bs_present: bool) -> dict[tuple[str, str], complex]:
@@ -93,9 +89,8 @@ def branch_amplitudes(bs_present: bool) -> dict[tuple[str, str], complex]:
 
 def eraser_state(bs_present: bool) -> StateVector:
     """The discrete (detector, path) state with or without the beam splitter."""
-    det, path = detector_subsystem(), path_subsystem()
     amps = branch_amplitudes(bs_present)
-    return make_state([det, path], [((d, p), a) for (d, p), a in amps.items()])
+    return make_state([_DETECTOR, _PATH], [((d, p), a) for (d, p), a in amps.items()])
 
 
 def build_eraser_universe(bs_present: bool, *, record: bool = False) -> Universe:
@@ -103,17 +98,16 @@ def build_eraser_universe(bs_present: bool, *, record: bool = False) -> Universe
     pointer subsystem for the observer who measured the signal side."""
     state = eraser_state(bs_present)
     if record:
-        rec = Subsystem("signal_record", ("ready",) + PATHS)
-        state = tensor(state, make_state([rec], [(("ready",), 1.0)]))
+        state = tensor(state, make_state([_SIGNAL_RECORD], [(("ready",), 1.0)]))
     return create_universe(state)
 
 
 def detector_observable() -> Observable:
-    return label_observable(detector_subsystem(), name="detector")
+    return label_observable(_DETECTOR, name="detector")
 
 
 def path_observable() -> Observable:
-    return label_observable(path_subsystem(), name="path")
+    return label_observable(_PATH, name="path")
 
 
 def slit_mode_vectors(g: SlitGeometry) -> tuple[np.ndarray, np.ndarray]:

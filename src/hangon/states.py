@@ -9,6 +9,7 @@ states are never mutated; observation-style randomness lives elsewhere.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -156,7 +157,7 @@ class StateVector:
         if abs(n2 - 1.0) <= NORM_TOL:
             return self
         scale = 1.0 / math.sqrt(n2)
-        return StateVector(self.subsystems, {k: v * scale for k, v in self._terms.items()})
+        return _derived(self, {k: v * scale for k, v in self._terms.items()})
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -173,14 +174,29 @@ class StateVector:
         return f"StateVector([{subs}], {len(self._terms)} terms)"
 
 
+def _derived(parent: StateVector, terms: dict[tuple[str, ...], complex]) -> StateVector:
+    """A state over ``parent``'s subsystems that takes ownership of ``terms``.
+
+    For results built here from ``parent``'s own terms: the subsystems and
+    their index are shared, not copied or checked again, and ``terms`` must
+    be a fresh dict that no caller holds.
+    """
+    s = object.__new__(StateVector)
+    s.subsystems = parent.subsystems
+    s._index = parent._index
+    s._terms = terms
+    s._norm2 = None
+    return s
+
+
 def _check_finite(amp: complex) -> complex:
-    if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
+    if not cmath.isfinite(amp):
         raise ValueError(f"non-finite amplitude {amp!r}")
     return amp
 
 
 def _validate_labels(subsystems: Sequence[Subsystem], labels: Sequence[str]) -> tuple[str, ...]:
-    key = tuple(str(l) for l in labels)
+    key = tuple(map(str, labels))
     if len(key) != len(subsystems):
         raise UnknownLabel(
             f"label tuple {key!r} has {len(key)} entries for {len(subsystems)} subsystems"
@@ -260,7 +276,7 @@ def project(s: StateVector, obs: Observable, outcome: str) -> StateVector:
     kept = {labels: a for labels, a in s._terms.items() if labels[i] in member_set}
     if not kept:
         raise EmptyBranch(f"outcome {outcome!r} has no support in this state")
-    return StateVector(s.subsystems, kept)
+    return _derived(s, kept)
 
 
 def premeasure(
@@ -298,18 +314,25 @@ def premeasure(
             f"expected only its ready label {ready!r}"
         )
 
+    # System label -> pointer label, for every label whose class is mapped.
+    pointer_of = {
+        label: correlation[cls]
+        for label, cls in system_obs._class_of.items()
+        if cls in correlation
+    }
     rewritten: dict[tuple[str, ...], complex] = {}
     for labels, a in s._terms.items():
-        cls = system_obs.class_of(labels[sys_i])
         try:
-            new_label = correlation[cls]
+            new_label = pointer_of[labels[sys_i]]
         except KeyError:
+            # class_of raises UnknownLabel for a label the observable lacks.
+            cls = system_obs.class_of(labels[sys_i])
             raise UnknownOutcome(
                 f"correlation does not cover outcome class {cls!r} (it has support)"
             ) from None
         new_labels = labels[:ptr_i] + (new_label,) + labels[ptr_i + 1 :]
         rewritten[new_labels] = rewritten.get(new_labels, 0j) + a
-    return StateVector(s.subsystems, rewritten)
+    return _derived(s, rewritten)
 
 
 def _fmt17(x: float) -> str:

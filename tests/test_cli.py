@@ -224,6 +224,31 @@ class TestConfigErrors:
         assert not list(tmp_path.glob("*_report.json"))
 
     @pytest.mark.parametrize(
+        "scenario, geometry, name",
+        [
+            ("double-slit", {"wavenumber": "125.6"}, "'geometry.wavenumber'"),
+            ("double-slit", {"screen_distance": True}, "'geometry.screen_distance'"),
+            ("double-slit", {"screen_max": False}, "'geometry.screen_max'"),
+            ("eraser", {"wavenumber": float("nan")}, "'geometry.wavenumber'"),
+            ("eraser", {"screen_distance": float("inf")}, "'geometry.screen_distance'"),
+            ("eraser", {"screen_min": float("-inf")}, "'geometry.screen_min'"),
+            ("eraser", {"detector_position": [0.0]}, "'geometry.detector_position'"),
+            ("double-slit", {"slit_lower": [-0.5, 0.0, 1.0]}, "'geometry.slit_lower'"),
+            ("double-slit", {"slit_upper": [0.5, "0"]}, "'geometry.slit_upper'"),
+            ("eraser", {"slit_upper": [0.5, float("nan")]}, "'geometry.slit_upper'"),
+        ],
+    )
+    def test_bad_geometry_value(self, tmp_path, capsys, scenario, geometry, name):
+        # Only finite JSON numbers pass; float() would coerce strings and
+        # booleans, and a short point or a NaN used to crash the run.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 100, "geometry": geometry}))
+        code = run_cli("run", scenario, "--config", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert name in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_report.json"))
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("verify", "fast", "--seed", "-1"),

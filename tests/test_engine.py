@@ -1,4 +1,5 @@
 """Hang-on engine: universes, observation, communication, branch trees."""
+import dataclasses
 import itertools
 import json
 import math
@@ -188,6 +189,37 @@ class TestObserve:
         assert rec.t_determined == 30
         assert rec.proposition.t_happened == 10
         assert rec.proposition.subsystem == "A"
+
+    def test_records_are_immutable(self):
+        # The branch node, trace entry, ledger record and proposition one
+        # observe writes keep their fields, values and order, and refuse
+        # every write.
+        u = singlet_universe()
+        o = u.register_observer("alice")
+        u.advance_clock(4)
+        p_plus = outcome_probability(u.global_state, A_SPIN, "+")
+        u.observe(o, A_SPIN, FixedStream([0.25]), t_happened=2)
+        rec = o.ledger.records[0]
+        expected = [
+            (o.node, {"parent": u.root, "selector": (A_SPIN, "+"), "depth": 1}),
+            (
+                u.trace[0],
+                {"observer": "alice", "clock": 4, "observable": "A_spin",
+                 "outcome": "+", "probability": p_plus},
+            ),
+            (rec, {"proposition": rec.proposition, "t_determined": 4, "observer": "alice"}),
+            (rec.proposition, {"subsystem": "A", "outcome": "+", "t_happened": 2}),
+        ]
+        for record, fields in expected:
+            if dataclasses.is_dataclass(record):
+                names = tuple(f.name for f in dataclasses.fields(record))
+            else:
+                names = type(record)._fields
+            assert names == tuple(fields)
+            for name, value in fields.items():
+                assert getattr(record, name) == value
+                with pytest.raises(AttributeError):
+                    setattr(record, name, value)
 
     def test_determinism_same_seed(self):
         def run(seed):

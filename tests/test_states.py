@@ -247,6 +247,15 @@ class TestPremeasure:
         with pytest.raises(UnknownOutcome):
             premeasure(s, A_SPIN, apparatus, {"+": "up"})
 
+    def test_correlation_may_omit_a_class_without_support(self):
+        apparatus = Subsystem("needle", ("ready", "up", "down"))
+        s = tensor(
+            make_state([A], [(("+",), 1.0)]),
+            make_state([apparatus], [(("ready",), 1.0)]),
+        )
+        out = premeasure(s, A_SPIN, apparatus, {"+": "up"})
+        assert out == StateVector(s.subsystems, {("+", "up"): 1.0})
+
     def test_correlation_must_be_injective(self):
         apparatus = Subsystem("needle", ("ready", "up", "down"))
         s = tensor(
@@ -332,6 +341,67 @@ def test_premeasure_preserves_system_marginals(s, which):
         before_p = outcome_probability(full, obs, c)
         after_p = outcome_probability(after, obs, c)
         assert abs(before_p - after_p) <= 1e-12
+
+
+def _observable(sub, degenerate):
+    """The label observable, or one that merges the first two labels."""
+    if degenerate:
+        classes = {"merged": sub.labels[:2]}
+        classes.update({lab: (lab,) for lab in sub.labels[2:]})
+        return Observable(sub, classes, name=f"{sub.name}_deg")
+    return label_observable(sub)
+
+
+def _scaled_to_unit(terms):
+    n2 = math.fsum(a.real * a.real + a.imag * a.imag for a in terms.values())
+    if abs(n2 - 1.0) <= 1e-12:
+        return dict(terms)
+    scale = 1.0 / math.sqrt(n2)
+    return {k: v * scale for k, v in terms.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_states(), st.integers(min_value=0, max_value=2), st.booleans(), st.data())
+def test_derived_states_equal_states_built_from_scratch(s, which, degenerate, data):
+    # project, normalized and premeasure build their results from the
+    # input's own terms; each must equal the same terms passed through the
+    # public constructor, in the same order, and leave the input untouched.
+    sub = s.subsystems[which % len(s.subsystems)]
+    obs = _observable(sub, degenerate)
+    i = s.subsystem_index(sub.name)
+    before = list(s.terms.items())
+
+    cls = data.draw(st.sampled_from(obs.class_names))
+    kept = {k: v for k, v in s.terms.items() if obs.class_of(k[i]) == cls}
+    if kept:
+        branch = project(s, obs, cls)
+        assert branch == StateVector(s.subsystems, kept)
+        assert list(branch.terms) == list(kept)
+        unit = branch.normalized()
+        expected_unit = _scaled_to_unit(kept)
+        assert unit == StateVector(s.subsystems, expected_unit)
+        assert list(unit.terms) == list(expected_unit)
+        assert list(branch.terms.items()) == list(kept.items())
+    else:
+        with pytest.raises(EmptyBranch):
+            project(s, obs, cls)
+
+    pointer = Subsystem("ptr", ("ready",) + tuple(f"rec{j}" for j in range(len(obs.class_names))))
+    full = tensor(s, make_state([pointer], [(("ready",), 1.0)]))
+    supported = {obs.class_of(k[i]) for k in s.terms}
+    keep_unsupported = data.draw(st.booleans())
+    correlation = {
+        c: f"rec{j}"
+        for j, c in enumerate(obs.class_names)
+        if c in supported or keep_unsupported
+    }
+    full_before = list(full.terms.items())
+    after = premeasure(full, obs, pointer, correlation)
+    expected = {k[:-1] + (correlation[obs.class_of(k[i])],): v for k, v in full.terms.items()}
+    assert after == StateVector(full.subsystems, expected)
+    assert list(after.terms) == list(expected)
+    assert list(full.terms.items()) == full_before
+    assert list(s.terms.items()) == before
 
 
 @settings(max_examples=40, deadline=None)
