@@ -88,6 +88,10 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path}: line {e.lineno}: {e.msg}")
+    except (OSError, ValueError) as e:
+        # Unreadable paths (directories, permissions), bytes that are not
+        # UTF-8, integer literals past the digit limit.
+        raise ConfigError(f"config file {path}: {e}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path}: expected a JSON object")
     return doc

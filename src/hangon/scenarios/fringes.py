@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .geometry import SlitGeometry, nearest_bins
 
@@ -133,6 +132,9 @@ def chi_square_two_sample(
     Cells whose combined count falls below ``MIN_POOL`` are pooled into one
     remainder cell. Returns (statistic, dof, p_value).
     """
+    # Imported here so that a cold start that never calls this skips scipy.
+    from scipy.stats import chi2
+
     a = np.asarray(counts_a, dtype=float).ravel()
     b = np.asarray(counts_b, dtype=float).ravel()
     if a.shape != b.shape:

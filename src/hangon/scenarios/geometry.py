@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..errors import NotFarField, SingularPoint
 from ..rng import RngStream
@@ -209,6 +208,9 @@ def fringe_extrema(g: SlitGeometry) -> tuple[np.ndarray, np.ndarray]:
     The path difference is monotone in the screen coordinate, so each target
     value is bracketed and solved by root finding.
     """
+    # Imported here so that a cold start that never calls this skips scipy.
+    from scipy.optimize import brentq
+
     xs = g.screen_positions
     lo, hi = float(xs[0]), float(xs[-1])
     delta_lo, delta_hi = float(path_difference(g, lo)), float(path_difference(g, hi))

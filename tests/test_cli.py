@@ -1,5 +1,10 @@
 """CLI harness: subcommands, files, exit codes, reproducibility."""
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +181,24 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "line" in err
 
+    @pytest.mark.parametrize(
+        "make_config",
+        [
+            # json.load refuses integer literals past the digit limit.
+            lambda p: p.write_text('{"n": ' + "9" * 5000 + "}"),
+            lambda p: p.write_bytes(b"\xff\xfe{"),
+            lambda p: p.mkdir(),
+        ],
+        ids=["integer-too-long", "not-utf8", "directory"],
+    )
+    def test_unreadable_config(self, tmp_path, capsys, make_config):
+        cfg = tmp_path / "cfg.json"
+        make_config(cfg)
+        code = run_cli("run", "eq9", "--config", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert str(cfg) in capsys.readouterr().err
+        assert not list(tmp_path.glob("eq9_*"))
+
     def test_bad_field_type(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": "many"}))
@@ -272,6 +295,27 @@ class TestConfigErrors:
 
     def test_unknown_scenario(self, capsys):
         assert run_cli("run", "teleporter") == 2
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # A fresh interpreter: this test process has scipy loaded by other tests.
+    script = textwrap.dedent(
+        """
+        import sys
+        import hangon, hangon.cli, hangon.scenarios, hangon.verify
+        for scenario in ("epr", "eq9", "eraser"):
+            argv = ["run", scenario, "--n", "200", "--out-dir", sys.argv[1]]
+            assert hangon.cli.main(argv) == 0, scenario
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestVerify:
