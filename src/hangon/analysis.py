@@ -8,6 +8,11 @@ give the same joint: ``sequential_joint_distribution`` walks the engine that
 way, and ``born_joint_distribution`` never touches it, summing the squared
 moduli of the global state's terms under their outcome combinations. Their
 agreement is the oracle check for the whole branching machinery.
+
+``counts``, ``joint`` and ``sequential_joint_distribution`` each pass one
+engine answer table into every universe they build, so their trials and
+walks premeasure, project and weigh each branch once per call; the table is
+dropped when the call returns.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Mapping, NamedTuple, Sequence
 
-from .engine import ObserverHandle, Universe, force_observe
+from .engine import ObserverHandle, Universe, _AnswerTable, force_observe
 from .states import Observable, StateVector, Subsystem
 
 
@@ -48,9 +53,11 @@ class Schedule:
     def _observables(self) -> list[Observable]:
         return [step.obs for step in self.steps if isinstance(step, Observe)]
 
-    def run(self, rng) -> tuple[Universe, ObserverHandle, tuple[str, ...]]:
+    def run(
+        self, rng, *, _answers: _AnswerTable | None = None
+    ) -> tuple[Universe, ObserverHandle, tuple[str, ...]]:
         """One sampled trial on a fresh universe, one draw per observation."""
-        universe = Universe(self.initial)
+        universe = Universe(self.initial, _answers=_answers)
         observer = universe.register_observer("alice")
         outcomes = []
         for step in self.steps:
@@ -63,16 +70,19 @@ class Schedule:
     def counts(self, n: int, rng) -> dict[tuple[str, ...], int]:
         """Outcome tallies over ``n`` trials, every combination listed."""
         tally = dict.fromkeys(_combinations(self._observables()), 0)
+        answers = _AnswerTable()
         for _ in range(n):
-            tally[self.run(rng)[2]] += 1
+            tally[self.run(rng, _answers=answers)[2]] += 1
         return tally
 
-    def walk(self, outcomes: Sequence[str]) -> tuple[Universe, ObserverHandle, float]:
+    def walk(
+        self, outcomes: Sequence[str], *, _answers: _AnswerTable | None = None
+    ) -> tuple[Universe, ObserverHandle, float]:
         """Force the observations onto ``outcomes`` in turn and return the
         chain product of their branch probabilities, 0.0 at the first outcome
         without support. The walk stops before the first observation that
         ``outcomes`` does not reach."""
-        universe = Universe(self.initial)
+        universe = Universe(self.initial, _answers=_answers)
         observer = universe.register_observer("alice")
         todo = iter(outcomes)
         p = 1.0
@@ -94,8 +104,9 @@ class Schedule:
         all outcomes but the last, whose weights are read, not observed."""
         *head, last = self._observables()
         joint: dict[tuple[str, ...], float] = {}
+        answers = _AnswerTable()
         for prefix in _combinations(head):
-            universe, observer, p = self.walk(prefix)
+            universe, observer, p = self.walk(prefix, _answers=answers)
             weights = universe.branch_probabilities(observer, last) if p > 0.0 else {}
             for cls in last.class_names:
                 joint[prefix + (cls,)] = p * weights.get(cls, 0.0)
@@ -130,7 +141,8 @@ def sequential_joint_distribution(
     Unlike ``Schedule.joint`` this forces the last observation too, one
     ``observe`` per positive prefix of every combination."""
     schedule = Schedule(state, tuple(Observe(o) for o in observables))
-    return {combo: schedule.walk(combo)[2] for combo in _combinations(observables)}
+    answers = _AnswerTable()
+    return {combo: schedule.walk(combo, _answers=answers)[2] for combo in _combinations(observables)}
 
 
 def l1_distance(

@@ -18,6 +18,19 @@ that node, so a repeated query on an unchanged path is a lookup.
 ``entangle_step`` replaces the global state, which makes every cache stale;
 the next query rebuilds it from the root once.
 
+The universes that one ``Schedule.counts``, ``Schedule.joint`` or
+``sequential_joint_distribution`` call builds share one ``_AnswerTable``,
+created when the call starts and dropped when it returns. It holds what
+every trial or forced walk over the same initial state would otherwise
+compute again: each premeasurement, keyed by its input global state and
+entangle step, and for each global state and selector path the
+unnormalized branch, the normalized branch and the class weights per
+observable. An observer's cache is filled from the table on a miss before
+anything is projected, and the table is written after a projection, so
+``observe``, the draws, the clock, the ledger and the trace run as they do
+without it. A Universe built without a table keeps nothing beyond its
+observers' caches.
+
 A Universe and its observers form one mutation domain driven by a single
 thread of control. The queries (conditional_state, branch_probabilities)
 write only the queried observer's cache, never the global state or another
@@ -75,13 +88,51 @@ class TraceEntry(NamedTuple):
     probability: float
 
 
+class _AnswerTable:
+    """Answers shared by the universes of one schedule call.
+
+    ``branches(state)`` is a dict from the selectors a projection went
+    through, in walk order, to ``(unnormalized branch, normalized branch,
+    {observable: class weights}, branches below it)``. Every value holds
+    the objects whose ids key it, so no id is reused while the table lives.
+    """
+
+    __slots__ = ("_premeasured", "_roots")
+
+    def __init__(self):
+        self._premeasured: dict[tuple[int, int, int, int], tuple] = {}
+        self._roots: dict[int, tuple[StateVector, dict]] = {}
+
+    def premeasure(
+        self,
+        state: StateVector,
+        system_obs: Observable,
+        pointer: Subsystem,
+        correlation: Mapping[str, str],
+    ) -> StateVector:
+        key = (id(state), id(system_obs), id(pointer), id(correlation))
+        hit = self._premeasured.get(key)
+        if hit is None:
+            result = premeasure(state, system_obs, pointer, correlation)
+            hit = self._premeasured[key] = (state, system_obs, pointer, correlation, result)
+        return hit[4]
+
+    def branches(self, state: StateVector) -> dict:
+        hit = self._roots.get(id(state))
+        if hit is None:
+            hit = self._roots[id(state)] = (state, {})
+        return hit[1]
+
+
 class ObserverHandle:
     """An observer's identity, current branch node, and event ledger.
 
     ``_memo`` caches ``(global state, node, unnormalized branch, normalized
-    branch, {observable: class weights})``: the global state projected
-    through every selector from the root down to ``node``, an ancestor of
-    (or equal to) the current node, and the answers already given there.
+    branch, {observable: class weights}, branches below)``: the global state
+    projected through every selector from the root down to ``node``, an
+    ancestor of (or equal to) the current node, and the answers already
+    given there. ``branches below`` is that node's entry in the universe's
+    answer table, or None when the universe has no table.
     """
 
     __slots__ = ("id", "ledger", "_node", "_memo")
@@ -91,7 +142,7 @@ class ObserverHandle:
         self.ledger = EventLedger(observer_id)
         self._node = root
         self._memo: (
-            tuple[StateVector, BranchNode, StateVector, StateVector, dict[Observable, dict[str, float]]]
+            tuple[StateVector, BranchNode, StateVector, StateVector, dict[Observable, dict[str, float]], dict | None]
             | None
         ) = None
 
@@ -127,9 +178,10 @@ class Universe:
     does so deterministically.
     """
 
-    def __init__(self, initial: StateVector):
+    def __init__(self, initial: StateVector, *, _answers: _AnswerTable | None = None):
         if abs(initial.norm_squared() - 1.0) > NORM_TOL:
             raise ValueError("initial global state must be normalized")
+        self._answers = _answers
         self._state = initial
         self._root = BranchNode(None, None, 0)
         self._clock = 0
@@ -194,7 +246,10 @@ class Universe:
         No observer's path moves and no event is recorded: for every observer
         here, this interaction produces entanglement, not a definite result.
         """
-        self._state = premeasure(self._state, system_obs, pointer, correlation)
+        if self._answers is None:
+            self._state = premeasure(self._state, system_obs, pointer, correlation)
+        else:
+            self._state = self._answers.premeasure(self._state, system_obs, pointer, correlation)
         self._tick()
 
     def conditional_state(self, observer: ObserverHandle) -> StateVector:
@@ -207,7 +262,9 @@ class Universe:
         global state nor the observer's node changes, the cached normalized
         branch is returned as is. ``project`` keeps the surviving terms'
         amplitudes and order, so the result equals the re-projection from the
-        root exactly.
+        root exactly. With an answer table, a miss first looks the new
+        selectors up below the cached node and projects only if no universe
+        of the same call has.
         """
         self._check_registered(observer)
         node = observer._node
@@ -215,9 +272,21 @@ class Universe:
         if memo is not None and memo[0] is self._state:
             if memo[1] is node:
                 return memo[3]
-            _, stop, branch, _, _ = memo
+            _, stop, branch, _, _, below = memo
         else:
             stop, branch = self._root, self._state
+            below = None if self._answers is None else self._answers.branches(branch)
+        if below is not None:
+            selectors = []
+            walk = node
+            while walk is not stop:
+                selectors.append(walk.selector)
+                walk = walk.parent
+            selectors = tuple(selectors)
+            shared = below.get(selectors)
+            if shared is not None:
+                observer._memo = (self._state, node) + shared
+                return shared[1]
         # Projections are term filters and commute, so they apply in walk
         # order, newest selector first.
         walk = node
@@ -226,7 +295,11 @@ class Universe:
             branch = project(branch, obs, outcome)
             walk = walk.parent
         conditional = branch.normalized()
-        observer._memo = (self._state, node, branch, conditional, {})
+        if below is None:
+            observer._memo = (self._state, node, branch, conditional, {}, None)
+        else:
+            shared = below[selectors] = (branch, conditional, {}, {})
+            observer._memo = (self._state, node) + shared
         return conditional
 
     def branch_probabilities(self, observer: ObserverHandle, obs: Observable) -> dict[str, float]:

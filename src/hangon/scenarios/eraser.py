@@ -152,10 +152,15 @@ def d0_marginal_density(g: SlitGeometry) -> np.ndarray:
     return m / m.sum()
 
 
-def detector_conditional_given_bin(bs_present: bool, g: SlitGeometry) -> np.ndarray:
+def detector_conditional_given_bin(
+    bs_present: bool, g: SlitGeometry, *, _rho: np.ndarray | None = None
+) -> np.ndarray:
     """Row-stochastic (bin, detector) matrix: which detector the idler twin
-    lands in, given the signal photon's recorded position."""
-    rho = joint_density(bs_present, g)
+    lands in, given the signal photon's recorded position.
+
+    ``run_eraser`` passes the ``joint_density`` it already holds as ``_rho``.
+    """
+    rho = joint_density(bs_present, g) if _rho is None else _rho
     col = rho.sum(axis=0)
     return (rho / col).T
 
@@ -217,12 +222,12 @@ def _sample_idler_first(cfg: EraserConfig, rho: np.ndarray, rng: RngStream):
     return dets, bins
 
 
-def _sample_signal_first(cfg: EraserConfig, rng: RngStream):
+def _sample_signal_first(cfg: EraserConfig, rho: np.ndarray, rng: RngStream):
     # Screen positions first, from the choice-independent marginal; the
     # configured wave function is consulted only for the detector labels.
     marginal = d0_marginal_density(cfg.geometry)
     bins = rng.sample_indices(marginal, cfg.n_photons)
-    cond = detector_conditional_given_bin(cfg.bs_present, cfg.geometry)
+    cond = detector_conditional_given_bin(cfg.bs_present, cfg.geometry, _rho=rho)
     cdf_rows = np.cumsum(cond, axis=1)[bins]
     u = rng.randoms(cfg.n_photons)
     dets = np.minimum(
@@ -238,7 +243,7 @@ def run_eraser(cfg: EraserConfig) -> EraserRun:
     if cfg.perspective == "idler_first":
         dets, bins = _sample_idler_first(cfg, rho, rng)
     else:
-        dets, bins = _sample_signal_first(cfg, rng)
+        dets, bins = _sample_signal_first(cfg, rho, rng)
 
     nbins = rho.shape[1]
     joint_counts = np.zeros((len(DETECTORS), nbins), dtype=int)

@@ -555,6 +555,51 @@ def test_cached_answers_equal_root_reprojection(setup, data):
                     probs.clear()
 
 
+@settings(max_examples=80, deadline=None)
+@given(_entangled_universes(), st.data())
+def test_answer_table_answers_equal_root_reprojection(setup, data):
+    """Universes that share one answer table, two observers each, answer
+    every query with the from-root re-projection, exactly, whatever mix of
+    observations and entangling steps each one has gone through."""
+    u, subs, pointers = setup
+    table = engine._AnswerTable()
+    universes = [engine.Universe(u.global_state, _answers=table) for _ in range(2)]
+    observers = [(v, v.register_observer(name)) for v in universes for name in "ab"]
+    pool = {
+        (sub.name, deg): _observable(sub, deg) for sub in subs + pointers for deg in (False, True)
+    }
+    correlations = {key: {c: f"r{j}" for j, c in enumerate(obs.class_names)} for key, obs in pool.items()}
+    fired = [0, 0]
+    for _ in range(data.draw(st.integers(1, 16), label="steps")):
+        k = data.draw(st.integers(0, 1), label="universe")
+        v, o = observers[2 * k + data.draw(st.integers(0, 1), label="observer")]
+        kind = data.draw(st.sampled_from(["observe", "force", "entangle"]), label="kind")
+        # Only fired pointers are observed: a "ready" selector loses its
+        # support once the pointer fires.
+        sub = data.draw(st.sampled_from(subs + pointers[: fired[k]]), label="subsystem")
+        obs = pool[sub.name, data.draw(st.booleans(), label="degenerate")]
+        if kind == "observe":
+            draw = data.draw(st.floats(0.0, 1.0, exclude_max=True), label="uniform")
+            v.observe(o, obs, FixedStream([draw]))
+        elif kind == "force":
+            probs = v.branch_probabilities(o, obs)
+            supported = [c for c, p in probs.items() if p > 0.0]
+            force_observe(v, o, obs, data.draw(st.sampled_from(supported), label="outcome"))
+        elif fired[k] < N_POINTERS:
+            key = (data.draw(st.sampled_from(subs), label="system").name, data.draw(st.booleans()))
+            v.entangle_step(pool[key], pointers[fired[k]], correlations[key])
+            fired[k] += 1
+        for v, each in observers:
+            got = v.conditional_state(each)
+            want = _reference_conditional(v, each)
+            assert got == want
+            assert list(got.terms) == list(want.terms)
+            for key in ((sub.name, False), (sub.name, True)):
+                probs = v.branch_probabilities(each, pool[key])
+                assert probs == _reference_probabilities(v, each, pool[key])
+                probs.clear()
+
+
 def _cost_guard_state():
     """Three subsystems with some terms missing, so some prefixes have zero
     weight and the enumeration stops early on them."""
@@ -592,6 +637,35 @@ def test_sequential_joint_asks_each_class_once_per_prefix(monkeypatch):
             bound += len(obs.class_names)
             if born_joint_distribution(state, observables[: j + 1])[combo[: j + 1]] <= 0.0:
                 break
+    joint = sequential_joint_distribution(state, observables)
+    assert 0 < calls[0] <= bound
+    assert l1_distance(joint, born_joint_distribution(state, observables)) < 1e-12
+
+
+def test_sequential_joint_asks_each_class_once_per_distinct_prefix(monkeypatch):
+    """Combinations that share a positive prefix share its class weights:
+    one ``outcome_probability`` call per outcome class of the next
+    observable per *distinct* positive prefix, the empty prefix included."""
+    calls = [0]
+    real_outcome_probability = engine.outcome_probability
+
+    def counting_outcome_probability(*args):
+        calls[0] += 1
+        return real_outcome_probability(*args)
+
+    monkeypatch.setattr(engine, "outcome_probability", counting_outcome_probability)
+    state, subs = _cost_guard_state()
+    observables = [_observable(sub, deg) for sub, deg in zip(subs, (True, False, False))]
+    prefixes = {
+        combo[:j]
+        for combo in itertools.product(*(o.class_names for o in observables))
+        for j in range(len(observables))
+        if born_joint_distribution(state, observables[:j])[combo[:j]] > 0.0
+    }
+    bound = sum(len(observables[len(prefix)].class_names) for prefix in prefixes)
+    # 2 classes at the root, 3 after each of 2 first outcomes, 2 after each
+    # of the 6 second prefixes less one without support.
+    assert bound == 2 + 2 * 3 + 5 * 2
     joint = sequential_joint_distribution(state, observables)
     assert 0 < calls[0] <= bound
     assert l1_distance(joint, born_joint_distribution(state, observables)) < 1e-12

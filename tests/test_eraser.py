@@ -8,6 +8,7 @@ from scipy.stats import chi2_contingency
 from hangon import ConfigError, outcome_probability
 from hangon.engine import force_observe
 from hangon.rng import RngStream
+from hangon.scenarios import eraser as eraser_module
 from hangon.scenarios import (
     DETECTORS,
     EraserConfig,
@@ -16,6 +17,7 @@ from hangon.scenarios import (
     chi_square_two_sample,
     d0_marginal_density,
     default_geometry,
+    detector_conditional_given_bin,
     detector_envelope,
     detector_observable,
     eraser_state,
@@ -278,6 +280,26 @@ class TestRuns:
         masses = rho.sum(axis=1)
         for m in masses:
             assert m == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("perspective", ["idler_first", "signal_first"])
+    @pytest.mark.parametrize("bs", [True, False])
+    def test_one_joint_density_per_run(self, monkeypatch, perspective, bs):
+        """Both orders sample from the one joint the run reports; the
+        signal-first detector conditional is built from it, not again."""
+        calls = [0]
+        real_joint_density = eraser_module.joint_density
+
+        def counting_joint_density(*args):
+            calls[0] += 1
+            return real_joint_density(*args)
+
+        monkeypatch.setattr(eraser_module, "joint_density", counting_joint_density)
+        run = run_eraser(EraserConfig(bs, perspective, 500, default_geometry(), 4))
+        assert calls[0] == 1
+        np.testing.assert_array_equal(run.analytic_joint, real_joint_density(bs, default_geometry()))
+        cond = detector_conditional_given_bin(bs, default_geometry())
+        assert calls[0] == 2
+        np.testing.assert_array_equal(cond, (run.analytic_joint / run.analytic_joint.sum(axis=0)).T)
 
     def test_single_photon_run(self):
         run = run_eraser(EraserConfig(True, "idler_first", 1, default_geometry(), 1))

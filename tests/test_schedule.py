@@ -1,8 +1,22 @@
 """Schedules: sampled runs and forced walks against hand-rolled engine loops."""
-import pytest
+import gc
+import itertools
 
-from hangon import create_universe, engine, make_state, tensor
-from hangon.analysis import Entangle, Observe, Schedule
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hangon import (
+    Observable,
+    StateVector,
+    Subsystem,
+    create_universe,
+    engine,
+    label_observable,
+    make_state,
+    tensor,
+)
+from hangon.analysis import Entangle, Observe, Schedule, sequential_joint_distribution
 from hangon.engine import force_observe
 from hangon.errors import SimulationError
 from hangon.rng import RngStream
@@ -171,3 +185,146 @@ def test_a_ready_reply_is_an_error_not_a_dropped_trial(monkeypatch):
     monkeypatch.setattr(engine.Universe, "observe", deaf_record)
     with pytest.raises(SimulationError, match="ready"):
         run_epr("alice_first", 5, seed=1)
+
+
+def _observable(sub, degenerate):
+    if degenerate and len(sub.labels) >= 3:
+        classes = {"merged": sub.labels[:2]}
+        classes.update({lab: (lab,) for lab in sub.labels[2:]})
+        return Observable(sub, classes, name=f"{sub.name}_deg")
+    return label_observable(sub)
+
+
+N_POINTERS = 3
+
+
+@st.composite
+def _schedules(draw):
+    """A random 2-3 subsystem state with ready pointers p0..p2, and 1-7
+    entangle and observe steps over label and degenerate observables. Only
+    fired pointers are observed: a "ready" selector loses its support once
+    its pointer fires."""
+    subs = [
+        Subsystem(f"s{i}", tuple(f"l{j}" for j in range(draw(st.integers(2, 3)))))
+        for i in range(draw(st.integers(2, 3)))
+    ]
+    keys = list(itertools.product(*(sub.labels for sub in subs)))
+    part = st.integers(-3, 3).map(lambda x: x / 2.0)
+    amps = draw(st.lists(st.tuples(part, part), min_size=len(keys), max_size=len(keys)))
+    terms = [(k, complex(re, im)) for k, (re, im) in zip(keys, amps) if re or im] or [(keys[0], 1.0)]
+    state = make_state(subs, terms)
+    pointers = [Subsystem(f"p{k}", ("ready", "r0", "r1", "r2")) for k in range(N_POINTERS)]
+    for ptr in pointers:
+        state = tensor(state, make_state([ptr], [(("ready",), 1.0)]))
+    pool = {(sub.name, deg): _observable(sub, deg) for sub in subs + pointers for deg in (False, True)}
+    steps, fired = [], 0
+    for _ in range(draw(st.integers(1, 7), label="steps")):
+        if fired < N_POINTERS and draw(st.booleans(), label="entangle"):
+            system = pool[draw(st.sampled_from(subs)).name, draw(st.booleans())]
+            correlation = {c: f"r{j}" for j, c in enumerate(system.class_names)}
+            steps.append(Entangle(system, pointers[fired], correlation))
+            fired += 1
+        else:
+            sub = draw(st.sampled_from(subs + pointers[:fired]), label="observed")
+            steps.append(Observe(pool[sub.name, draw(st.booleans(), label="degenerate")]))
+    if not any(isinstance(step, Observe) for step in steps):
+        steps.append(Observe(pool[subs[0].name, False]))
+    return Schedule(state, tuple(steps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_schedules(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_shared_answers_equal_universes_that_share_nothing(schedule, n, seed):
+    """``counts``, ``joint`` and ``sequential_joint_distribution`` share
+    premeasurements and branch answers between the universes of one call;
+    each equals the same walks on universes built without sharing, exactly
+    and in the same key order."""
+    observables = [step.obs for step in schedule.steps if isinstance(step, Observe)]
+    combinations = list(itertools.product(*(o.class_names for o in observables)))
+
+    counts = schedule.counts(n, RngStream(seed))
+    tally = dict.fromkeys(combinations, 0)
+    rng = RngStream(seed)
+    for _ in range(n):
+        tally[schedule.run(rng)[2]] += 1
+    assert counts == tally
+    assert list(counts) == list(tally)
+
+    *head, last = observables
+    alone = {}
+    for prefix in itertools.product(*(o.class_names for o in head)):
+        universe, observer, p = schedule.walk(prefix)
+        weights = universe.branch_probabilities(observer, last) if p > 0.0 else {}
+        for cls in last.class_names:
+            alone[prefix + (cls,)] = p * weights.get(cls, 0.0)
+    joint = schedule.joint()
+    assert joint == alone
+    assert list(joint) == list(alone)
+
+    universe = create_universe(schedule.initial)
+    for step in schedule.steps:
+        if isinstance(step, Entangle):
+            universe.entangle_step(*step)
+    fired = universe.global_state
+    sequential = sequential_joint_distribution(fired, observables)
+    forced = Schedule(fired, tuple(Observe(o) for o in observables))
+    alone = {combo: forced.walk(combo)[2] for combo in combinations}
+    assert sequential == alone
+    assert list(sequential) == list(alone)
+
+
+def _live_states():
+    gc.collect()
+    return [o for o in gc.get_objects() if isinstance(o, StateVector)]
+
+
+def _states_built_since(before):
+    known = {id(o) for o in before}
+    return [o for o in _live_states() if id(o) not in known]
+
+
+def _entangle_chain(length):
+    """A two-term system with ``length`` ready pointers, each fired in turn
+    by one entangle step, then the system and the last pointer observed."""
+    system = Subsystem("s", ("l0", "l1"))
+    pointers = [Subsystem(f"p{k}", ("ready", "r0", "r1")) for k in range(length)]
+    base = make_state([system], [(("l0",), 0.6), (("l1",), 0.8)])
+    for ptr in pointers:
+        base = tensor(base, make_state([ptr], [(("ready",), 1.0)]))
+    obs = label_observable(system)
+    correlation = {"l0": "r0", "l1": "r1"}
+    steps = tuple(Entangle(obs, ptr, correlation) for ptr in pointers)
+    return Schedule(base, steps + (Observe(obs), Observe(label_observable(pointers[-1]))))
+
+
+def test_schedule_calls_keep_no_state_alive():
+    """Every state a call's answer table holds is dropped when it returns."""
+    schedule = _entangle_chain(6)
+    obs = schedule.steps[-2].obs
+    before = _live_states()
+    assert any(o is schedule.initial for o in before)
+    counts = schedule.counts(30, RngStream(4))
+    joint = schedule.joint()
+    sequential = sequential_joint_distribution(schedule.initial, [obs, obs])
+    assert _states_built_since(before) == []
+    assert sum(counts.values()) == 30
+    assert joint[("l0", "r0")] == pytest.approx(0.36, abs=1e-12)
+    assert sequential[("l1", "l1")] == pytest.approx(0.64, abs=1e-12)
+
+
+def test_long_entangle_chain_keeps_no_successor_alive():
+    """A held base state keeps none of the states a long chain of entangle
+    steps derives from it, on a bare universe or through a schedule."""
+    schedule = _entangle_chain(60)
+    before = _live_states()
+    universe = create_universe(schedule.initial)
+    for step in schedule.steps:
+        if isinstance(step, Entangle):
+            universe.entangle_step(*step)
+    alice = universe.register_observer("alice")
+    universe.observe(alice, schedule.steps[-1].obs, RngStream(8))
+    del universe, alice
+    assert _states_built_since(before) == []
+    schedule.counts(5, RngStream(8))
+    schedule.joint()
+    assert _states_built_since(before) == []
