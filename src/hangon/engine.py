@@ -20,7 +20,8 @@ the next query rebuilds it from the root once.
 
 The universes that one ``Schedule.counts``, ``Schedule.joint`` or
 ``sequential_joint_distribution`` call builds share one ``_AnswerTable``,
-created when the call starts and dropped when it returns. It holds what
+created when the call starts and dropped when it returns; the trials of
+``verify``'s ``no_conflict`` check share one the same way. It holds what
 every trial or forced walk over the same initial state would otherwise
 compute again: each premeasurement, keyed by its input global state and
 entangle step, and for each global state and selector path the
@@ -65,8 +66,8 @@ _FORBIDDEN_TOL = 1e-12
 # ``observe`` builds one BranchNode and one TraceEntry per call, so both are
 # NamedTuples: immutable, compared and hashed field by field, and built in
 # half the time of a frozen dataclass or less. The ledger's Proposition and
-# EventRecord stay frozen dataclasses, because ``truth_value`` scans their
-# fields and a NamedTuple field read costs about twice as much.
+# EventRecord are public API and stay frozen dataclasses: their value
+# equality and hashing never make them equal to a plain tuple.
 
 
 class BranchNode(NamedTuple):

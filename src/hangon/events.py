@@ -6,6 +6,11 @@ determines it; the determination time may be much later than the happening
 time, and may even be the first moment the proposition has any truth value
 at all. Once True (or False, for a rival outcome of the same fact slot) it
 never reverts.
+
+Recording is one list append. Each ledger keeps an index from fact slot to
+the first determination of the slot and of each outcome asserted for it;
+a query first extends that index over the records appended since the last
+query, then answers with two dict lookups, whatever the ledger's length.
 """
 from __future__ import annotations
 
@@ -39,13 +44,22 @@ class EventRecord:
 
 
 class EventLedger:
-    """Append-only, per-observer; sorted by determination time."""
+    """Append-only, per-observer; sorted by determination time.
 
-    __slots__ = ("observer_id", "_records")
+    ``record`` appends and indexes nothing. ``_slots`` maps each fact slot
+    ``(subsystem, t_happened)`` to ``(first t_determined, {outcome: first
+    t_determined})`` over the first ``_indexed`` records; a query extends it
+    over the rest, so a ledger that is never queried never builds it, and
+    each query costs two dict lookups.
+    """
+
+    __slots__ = ("observer_id", "_records", "_slots", "_indexed")
 
     def __init__(self, observer_id: str):
         self.observer_id = observer_id
         self._records: list[EventRecord] = []
+        self._slots: dict[tuple[str, int], tuple[int, dict[str, int]]] = {}
+        self._indexed = 0
 
     @property
     def records(self) -> tuple[EventRecord, ...]:
@@ -60,6 +74,21 @@ class EventLedger:
             )
         self._records.append(EventRecord(proposition, t, self.observer_id))
 
+    def _catch_up(self) -> None:
+        """Index the records appended since the last query.
+
+        Records arrive in non-decreasing determination time, so the first
+        time a slot or an outcome is seen is its earliest determination.
+        ``setdefault`` keeps that true when two queries catch up at once.
+        """
+        end = len(self._records)
+        slots = self._slots
+        for rec in self._records[self._indexed : end]:
+            p = rec.proposition
+            t = rec.t_determined
+            slots.setdefault((p.subsystem, p.t_happened), (t, {}))[1].setdefault(p.outcome, t)
+        self._indexed = end
+
     def truth_value(self, proposition: Proposition, query_time: int) -> Truth:
         """Truth of the proposition as of query_time.
 
@@ -67,23 +96,20 @@ class EventLedger:
         determined by then asserts a different outcome for the same
         (subsystem, t_happened) slot; Indefinite otherwise.
         """
-        saw_rival = False
-        for rec in self._records:
-            if rec.t_determined > query_time:
-                break
-            p = rec.proposition
-            if p.subsystem == proposition.subsystem and p.t_happened == proposition.t_happened:
-                if p.outcome == proposition.outcome:
-                    return Truth.TRUE
-                saw_rival = True
-        return Truth.FALSE if saw_rival else Truth.INDEFINITE
+        if self._indexed < len(self._records):
+            self._catch_up()
+        slot = self._slots.get((proposition.subsystem, proposition.t_happened))
+        if slot is None or slot[0] > query_time:
+            return Truth.INDEFINITE
+        t = slot[1].get(proposition.outcome)
+        return Truth.TRUE if t is not None and t <= query_time else Truth.FALSE
 
     def determination_time(self, proposition: Proposition) -> int | None:
         """Earliest determination time asserting the proposition, else None."""
-        for rec in self._records:
-            if rec.proposition == proposition:
-                return rec.t_determined
-        return None
+        if self._indexed < len(self._records):
+            self._catch_up()
+        slot = self._slots.get((proposition.subsystem, proposition.t_happened))
+        return None if slot is None else slot[1].get(proposition.outcome)
 
     def to_json_lines(self) -> str:
         """One JSON object per line, in determination order."""

@@ -26,7 +26,7 @@ from .analysis import (
     l1_distance,
     sequential_joint_distribution,
 )
-from .engine import create_universe
+from .engine import _AnswerTable, create_universe
 from .events import Proposition, Truth
 from .rng import RngStream
 from .states import (
@@ -427,11 +427,14 @@ def _eraser_asking(bs: bool) -> tuple[Schedule, Observable]:
     return schedule, label_observable(record, name="signal_record")
 
 
-def _conflict_trial(schedule: Schedule, record_obs: Observable, seed: int) -> int:
+def _conflict_trial(
+    schedule: Schedule, record_obs: Observable, seed: int, answers: _AnswerTable | None = None
+) -> tuple[tuple[str, ...], str, int]:
     """Run the schedule, ask for the record, then check the reply against
-    the asker's whole path. Returns the number of violations."""
+    the asker's whole path. Returns the sampled outcomes, the reply and the
+    number of violations."""
     rng = RngStream(seed)
-    u, asker, _ = schedule.run(rng)
+    u, asker, outcomes = schedule.run(rng, _answers=answers)
     prior = asker.path_selectors()
     pre_probs = u.branch_probabilities(asker, record_obs)
     determined = [cls for cls, p in pre_probs.items() if p >= 1.0 - 1e-9]
@@ -442,18 +445,26 @@ def _conflict_trial(schedule: Schedule, record_obs: Observable, seed: int) -> in
     for obs, outcome in prior:
         if abs(u.branch_probabilities(asker, obs)[outcome] - 1.0) > 1e-9:
             violations += 1
-    return violations
+    return outcomes, reply, violations
+
+
+def _conflict_kinds() -> tuple[tuple[Schedule, Observable], ...]:
+    """The four (schedule, record observable) pairs that trials cycle through."""
+    epr = epr_schedule("bob_record_first")
+    epr_asking = (Schedule(epr.initial, epr.steps[:-1]), record_observable())
+    return (epr_asking, epr_asking, _eraser_asking(True), _eraser_asking(False))
 
 
 def check_no_conflict(seed: int, fast: bool) -> CheckResult:
     n_trials = 1_000 if fast else 10_000
-    epr = epr_schedule("bob_record_first")
-    epr_asking = (Schedule(epr.initial, epr.steps[:-1]), record_observable())
-    kinds = (epr_asking, epr_asking, _eraser_asking(True), _eraser_asking(False))
+    kinds = _conflict_kinds()
+    # Each trial runs on its own universe and stream; the four schedules
+    # share one answer table, so each branch is premeasured and projected once.
+    answers = _AnswerTable()
     violations = 0
     for i in range(n_trials):
         schedule, record_obs = kinds[i % 4]
-        violations += _conflict_trial(schedule, record_obs, seed * 2 + i)
+        violations += _conflict_trial(schedule, record_obs, seed * 2 + i, answers)[2]
     return CheckResult(
         "no_conflict",
         "a reply is always consistent with every selector already on the asker's path",

@@ -1,5 +1,7 @@
 """Event ledger: append ordering, three-valued truth, monotonicity."""
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hangon import EventLedger, OutOfOrderDetermination, Proposition, Truth
 from hangon.rng import RngStream
@@ -98,3 +100,77 @@ def test_truth_monotone_over_random_schedules():
                         assert cur is prev
                 if seen_defined:
                     assert values[-1] is not Truth.INDEFINITE
+
+
+def _scan_truth(records, proposition, query_time):
+    """Reference rule: scan the records in determination order."""
+    saw_rival = False
+    for rec in records:
+        if rec.t_determined > query_time:
+            break
+        p = rec.proposition
+        if p.subsystem == proposition.subsystem and p.t_happened == proposition.t_happened:
+            if p.outcome == proposition.outcome:
+                return Truth.TRUE
+            saw_rival = True
+    return Truth.FALSE if saw_rival else Truth.INDEFINITE
+
+
+def _scan_determination(records, proposition):
+    return next((rec.t_determined for rec in records if rec.proposition == proposition), None)
+
+
+SUBSYSTEMS = ("s0", "s1")
+OUTCOMES = ("l0", "l1", "merged")
+# One op is (subsystem, outcome, t_happened, determination step) for a
+# record, or a round of queries between records, named by the query that
+# runs first and so catches the index up.
+_ops = st.lists(
+    st.one_of(
+        st.sampled_from(("truth", "determination")),
+        st.tuples(
+            st.sampled_from(SUBSYSTEMS),
+            st.sampled_from(OUTCOMES),
+            st.integers(0, 2),
+            st.integers(0, 2),
+        ),
+    ),
+    max_size=25,
+)
+
+
+def _assert_matches_scan(ledger, first):
+    records = ledger.records
+    times = sorted({-1} | {r.t_determined + d for r in records for d in (-1, 0, 1)})
+    props = [
+        Proposition(sub, outcome, t_hap)
+        for sub in SUBSYSTEMS
+        for t_hap in range(3)
+        for outcome in OUTCOMES + ("never",)
+    ]
+    if first == "truth":
+        truth = [ledger.truth_value(prop, t) for prop in props for t in times]
+    determined = [ledger.determination_time(prop) for prop in props]
+    if first == "determination":
+        truth = [ledger.truth_value(prop, t) for prop in props for t in times]
+    assert truth == [_scan_truth(records, prop, t) for prop in props for t in times]
+    assert determined == [_scan_determination(records, prop) for prop in props]
+
+
+# The degenerate revert: a coarse class "merged" is recorded for the slot,
+# then "l0" for the same slot. l0 reads FALSE and then TRUE, as the scan does.
+@example([("s0", "merged", 0, 0), "truth", ("s0", "l0", 0, 1)])
+@settings(max_examples=300, deadline=None)
+@given(_ops)
+def test_slot_index_equals_linear_scan(ops):
+    ledger = EventLedger("o")
+    t_det = 0
+    for op in ops:
+        if isinstance(op, str):
+            _assert_matches_scan(ledger, op)
+            continue
+        sub, outcome, t_hap, step = op
+        t_det += step
+        ledger.record(Proposition(sub, outcome, t_hap), t_det)
+    _assert_matches_scan(ledger, "truth")
+    _assert_matches_scan(ledger, "determination")

@@ -15,6 +15,7 @@ from hangon import (
     label_observable,
     make_state,
     tensor,
+    verify,
 )
 from hangon.analysis import Entangle, Observe, Schedule, sequential_joint_distribution
 from hangon.engine import force_observe
@@ -271,6 +272,18 @@ def test_shared_answers_equal_universes_that_share_nothing(schedule, n, seed):
     alone = {combo: forced.walk(combo)[2] for combo in combinations}
     assert sequential == alone
     assert list(sequential) == list(alone)
+
+
+def test_no_conflict_trials_sample_the_same_with_a_shared_answer_table():
+    """``check_no_conflict`` runs every trial against one answer table; each
+    trial's path, reply and violation count equal those of a trial on a
+    universe that shares nothing."""
+    answers = engine._AnswerTable()
+    for schedule, record_obs in verify._conflict_kinds():
+        for seed in range(200):
+            alone = verify._conflict_trial(schedule, record_obs, seed)
+            shared = verify._conflict_trial(schedule, record_obs, seed, answers)
+            assert shared == alone
 
 
 def _live_states():
