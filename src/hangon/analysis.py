@@ -102,7 +102,10 @@ class Schedule:
     def joint(self) -> dict[tuple[str, ...], float]:
         """Exact joint over the observations: one ``walk`` per combination of
         all outcomes but the last, whose weights are read, not observed."""
-        *head, last = self._observables()
+        observables = self._observables()
+        if not observables:
+            return {(): 1.0}
+        *head, last = observables
         joint: dict[tuple[str, ...], float] = {}
         answers = _AnswerTable()
         for prefix in _combinations(head):

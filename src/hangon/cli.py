@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -64,18 +64,7 @@ class RunReport:
         return all(c["passed"] for c in self.checks)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "scenario": self.scenario,
-                "config": self.config,
-                "analytic": self.analytic,
-                "sampled": self.sampled,
-                "checks": self.checks,
-                "passed": self.passed,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        return json.dumps({**asdict(self), "passed": self.passed}, sort_keys=True, indent=2)
 
 
 def _load_config(path: str | None) -> dict:

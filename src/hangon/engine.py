@@ -80,7 +80,7 @@ class BranchNode(NamedTuple):
 
 class TraceEntry(NamedTuple):
     """One observation: who, when, which observable, the outcome and its
-    Born weight in the observer's branch."""
+    Born weight in the observer's branch. The fields are a trace line's keys."""
 
     observer: str
     clock: int
@@ -369,22 +369,9 @@ class Universe:
         return self.observe(asker, record, rng, t_happened)
 
     def trace_json(self) -> str:
-        """Branch-trace export: one JSON line per observation, in order."""
-        lines = []
-        for e in self._trace:
-            lines.append(
-                json.dumps(
-                    {
-                        "observer": e.observer,
-                        "clock": e.clock,
-                        "observable": e.observable,
-                        "outcome": e.outcome,
-                        "probability": e.probability,
-                    },
-                    separators=(",", ":"),
-                )
-            )
-        return "\n".join(lines)
+        """Branch-trace export: one JSON line per observation, in order,
+        holding the ``TraceEntry`` fields in field order."""
+        return "\n".join(json.dumps(e._asdict(), separators=(",", ":")) for e in self._trace)
 
 
 def create_universe(initial: StateVector) -> Universe:
@@ -397,7 +384,6 @@ def force_observe(
     observer: ObserverHandle,
     obs: Observable,
     outcome: str,
-    t_happened: int | None = None,
 ) -> float:
     """Extend the observer's path onto a chosen outcome (analysis hook).
 
@@ -419,6 +405,6 @@ def force_observe(
             break
         if probs[cls] > 0.0:
             acc += probs[cls]
-    got = universe.observe(observer, obs, FixedStream([(acc + p / 2.0) / total]), t_happened)
+    got = universe.observe(observer, obs, FixedStream([(acc + p / 2.0) / total]))
     assert got == outcome
     return p

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import OutOfOrderDetermination
 
@@ -112,22 +112,15 @@ class EventLedger:
         return None if slot is None else slot[1].get(proposition.outcome)
 
     def to_json_lines(self) -> str:
-        """One JSON object per line, in determination order."""
-        lines = []
-        for rec in self._records:
-            lines.append(
-                json.dumps(
-                    {
-                        "observer": rec.observer,
-                        "subsystem": rec.proposition.subsystem,
-                        "outcome": rec.proposition.outcome,
-                        "t_happened": rec.proposition.t_happened,
-                        "t_determined": rec.t_determined,
-                    },
-                    separators=(",", ":"),
-                )
+        """One JSON object per line, in determination order: ``observer``,
+        the ``Proposition`` fields, then ``t_determined``."""
+        return "\n".join(
+            json.dumps(
+                {"observer": r.observer, **asdict(r.proposition), "t_determined": r.t_determined},
+                separators=(",", ":"),
             )
-        return "\n".join(lines)
+            for r in self._records
+        )
 
     def __len__(self) -> int:
         return len(self._records)

@@ -31,6 +31,7 @@ from .events import Proposition, Truth
 from .rng import RngStream
 from .states import (
     Observable,
+    StateVector,
     Subsystem,
     label_observable,
     make_state,
@@ -478,6 +479,13 @@ def check_no_conflict(seed: int, fast: bool) -> CheckResult:
 # --- criterion 10 ---------------------------------------------------------
 
 
+def _random_state(rng: RngStream, subs: list[Subsystem]) -> StateVector:
+    """Every label tuple in ``itertools.product`` order, with real and
+    imaginary amplitude parts drawn uniform on [-1, 1)."""
+    keys = itertools.product(*(s.labels for s in subs))
+    return make_state(subs, [(k, complex(rng.random() * 2 - 1, rng.random() * 2 - 1)) for k in keys])
+
+
 def _random_state_and_observables(rng: RngStream):
     n_subs = 2 + int(rng.random() * 3)  # 2..4
     subs = []
@@ -485,10 +493,7 @@ def _random_state_and_observables(rng: RngStream):
         n_labels = 2 + int(rng.random() * 2)  # 2..3
         subs.append(Subsystem(f"s{i}", tuple(f"l{j}" for j in range(n_labels))))
 
-    terms = []
-    for key in itertools.product(*(s.labels for s in subs)):
-        terms.append((key, complex(rng.random() * 2 - 1, rng.random() * 2 - 1)))
-    state = make_state(subs, terms)
+    state = _random_state(rng, subs)
 
     observables = []
     for s in subs:
@@ -528,11 +533,7 @@ def _random_ledger_schedule(seed: int) -> int:
     rng = RngStream(seed)
     n_labels = 2 + int(rng.random() * 2)
     subs = [Subsystem(f"s{i}", tuple(f"l{j}" for j in range(n_labels))) for i in range(2)]
-    terms = []
-    for la in subs[0].labels:
-        for lb in subs[1].labels:
-            terms.append(((la, lb), complex(rng.random() * 2 - 1, rng.random() * 2 - 1)))
-    u = create_universe(make_state(subs, terms))
+    u = create_universe(_random_state(rng, subs))
     o = u.register_observer("alice")
     for _ in range(5):
         u.advance_clock(u.clock + int(rng.random() * 4))
@@ -589,12 +590,8 @@ def check_repeat_measurement(seed: int, fast: bool) -> CheckResult:
     for _ in range(n_trials):
         n_labels = 2 + int(rng.random() * 2)
         sub = Subsystem("s", tuple(f"l{j}" for j in range(n_labels)))
-        terms = [
-            ((lab,), complex(rng.random() * 2 - 1, rng.random() * 2 - 1))
-            for lab in sub.labels
-        ]
         obs = label_observable(sub)
-        schedule = Schedule(make_state([sub], terms), (Observe(obs), Observe(obs)))
+        schedule = Schedule(_random_state(rng, [sub]), (Observe(obs), Observe(obs)))
         first, again = schedule.run(rng)[2]
         if first != again:
             mismatches += 1

@@ -156,6 +156,44 @@ class TestRunEprAndPair:
         assert counts["Yb"] == 0
         assert sum(counts.values()) == 2000
 
+    def test_eq9_report_bytes(self, tmp_path, capsys):
+        # Pins the report format: two-space indent, sorted keys, trailing newline.
+        assert run_cli("run", "eq9", "--n", "300", "--seed", "3", "--out-dir", str(tmp_path)) == 0
+        expected = (
+            "{\n"
+            '  "analytic": {\n'
+            '    "Xa": 0.3333333333333335,\n'
+            '    "Xb": 0.3333333333333335,\n'
+            '    "Ya": 0.3333333333333334,\n'
+            '    "Yb": 0.0\n'
+            "  },\n"
+            '  "checks": [\n'
+            "    {\n"
+            '      "invariant": "the unsupported joint outcome (Y,b) never occurs",\n'
+            '      "name": "empty_branch_never_fires",\n'
+            '      "passed": true\n'
+            "    }\n"
+            "  ],\n"
+            '  "config": {\n'
+            '    "n": 300,\n'
+            '    "scenario": "eq9",\n'
+            '    "seed": 3\n'
+            "  },\n"
+            '  "passed": true,\n'
+            '  "sampled": {\n'
+            '    "counts": {\n'
+            '      "Xa": 95,\n'
+            '      "Xb": 107,\n'
+            '      "Ya": 98,\n'
+            '      "Yb": 0\n'
+            "    }\n"
+            "  },\n"
+            '  "scenario": "eq9"\n'
+            "}\n"
+        )
+        assert (tmp_path / "eq9_report.json").read_text() == expected
+        assert capsys.readouterr().out == expected
+
     def test_double_slit(self, tmp_path):
         code = run_cli(
             "run", "double-slit", "--n", "20000", "--seed", "5",

@@ -161,6 +161,17 @@ def test_walk_applies_entangle_steps_before_the_first_unforced_observation():
     assert universe.branch_probabilities(observer, record_observable())["-"] == pytest.approx(1.0)
 
 
+def test_a_schedule_without_observations_has_one_certain_empty_outcome():
+    pointer = make_state([RECORD], [(("ready",), 1.0)])
+    entangled = Schedule(
+        tensor(singlet_state(), pointer), (Entangle(b_spin(), RECORD, {"+": "+", "-": "-"}),)
+    )
+    for schedule in (Schedule(singlet_state(), ()), entangled):
+        assert schedule.joint() == {(): 1.0}
+        assert schedule.counts(5, RngStream(0)) == {(): 5}
+        assert sequential_joint_distribution(schedule.initial, []) == {(): 1.0}
+
+
 def test_counts_list_every_combination_and_run_returns_each_outcome():
     pointer = make_state([RECORD], [(("ready",), 1.0)])
     schedule = Schedule(
