@@ -25,7 +25,7 @@ import numpy as np
 
 from ..engine import Universe, create_universe
 from ..errors import ConfigError
-from ..rng import RngStream
+from ..rng import RngStream, search_sorted
 from ..states import Observable, StateVector, Subsystem, label_observable, make_state, tensor
 from .fringes import FringeHistogram
 from .geometry import SlitGeometry, path_difference, slit_wave_arrays
@@ -217,7 +217,7 @@ def _sample_idler_first(cfg: EraserConfig, rho: np.ndarray, rng: RngStream):
         cdf = np.cumsum(rho[i])
         cdf /= cdf[-1]
         bins[mask] = np.minimum(
-            np.searchsorted(cdf, u[mask], side="right"), rho.shape[1] - 1
+            search_sorted(cdf, u[mask], side="right"), rho.shape[1] - 1
         )
     return dets, bins
 
@@ -228,11 +228,14 @@ def _sample_signal_first(cfg: EraserConfig, rho: np.ndarray, rng: RngStream):
     marginal = d0_marginal_density(cfg.geometry)
     bins = rng.sample_indices(marginal, cfg.n_photons)
     cond = detector_conditional_given_bin(cfg.bs_present, cfg.geometry, _rho=rho)
-    cdf_rows = np.cumsum(cond, axis=1)[bins]
+    cdf = np.cumsum(cond, axis=1)
     u = rng.randoms(cfg.n_photons)
-    dets = np.minimum(
-        np.sum(u[:, None] >= cdf_rows, axis=1), len(DETECTORS) - 1
-    ).astype(int)
+    # The detector index is the number of cdf columns at or below u, capped
+    # at the last detector. The columns rise left to right, so the last one
+    # can only add to a count that is already at the cap: it is skipped.
+    dets = np.zeros(cfg.n_photons, dtype=int)
+    for k in range(len(DETECTORS) - 1):
+        dets += u >= cdf[:, k][bins]
     return dets, bins
 
 
@@ -246,8 +249,11 @@ def run_eraser(cfg: EraserConfig) -> EraserRun:
         dets, bins = _sample_signal_first(cfg, rho, rng)
 
     nbins = rho.shape[1]
-    joint_counts = np.zeros((len(DETECTORS), nbins), dtype=int)
-    np.add.at(joint_counts, (dets, bins), 1)
+    cell = dets * nbins
+    cell += bins
+    joint_counts = np.bincount(cell, minlength=len(DETECTORS) * nbins).reshape(
+        len(DETECTORS), nbins
+    )
 
     edges = cfg.geometry.bin_edges
     histograms = {

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NotFarField, SingularPoint
-from ..rng import RngStream
+from ..rng import RngStream, search_sorted
 
 # Minimum ratio of detector distance to slit separation for the planar-wave
 # (far-field) approximation of the momentum measurement.
@@ -252,7 +252,7 @@ def random_geometry(rng: RngStream, bins: int = 256) -> SlitGeometry:
 
 def nearest_bins(g: SlitGeometry, positions: np.ndarray) -> np.ndarray:
     """Indices of the screen bins containing the given positions."""
-    idx = np.searchsorted(g.bin_edges, np.asarray(positions, dtype=float)) - 1
+    idx = search_sorted(g.bin_edges, np.asarray(positions, dtype=float)) - 1
     return np.clip(idx, 0, len(g.screen_positions) - 1)
 
 

@@ -205,3 +205,14 @@ class TestScreenSampling:
         a = sample_screen_hits(g, 1000, RngStream(5))
         b = sample_screen_hits(g, 1000, RngStream(5))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [1, 5000])
+    def test_nearest_bins_sends_nan_and_outliers_to_the_edge_bins(self, n):
+        # n = 5000 is enough keys for the bucket table over 513 edges.
+        g = default_geometry()
+        hits = sample_screen_hits(g, n, RngStream(8))
+        positions = np.concatenate([hits, [np.nan, -np.inf, np.inf, -1e9, 1e9]])
+        got, last = nearest_bins(g, positions), len(g.screen_positions) - 1
+        assert list(got[-5:]) == [last, 0, last, 0, last]
+        want = np.clip(np.searchsorted(g.bin_edges, positions) - 1, 0, last)
+        np.testing.assert_array_equal(got, want)

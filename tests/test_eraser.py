@@ -301,6 +301,37 @@ class TestRuns:
         assert calls[0] == 2
         np.testing.assert_array_equal(cond, (run.analytic_joint / run.analytic_joint.sum(axis=0)).T)
 
+    @pytest.mark.parametrize("bins", [512, 4096])
+    @pytest.mark.parametrize("perspective", ["idler_first", "signal_first"])
+    @pytest.mark.parametrize("bs", [True, False])
+    def test_joint_counts_equal_binary_search_reference(self, bs, perspective, bins):
+        """The same photons as plain inverse-CDF sampling with
+        ``np.searchsorted`` and ``np.add.at`` from the same seed."""
+        g, n, seed = default_geometry(bins), 100_000, 17
+        run = run_eraser(EraserConfig(bs, perspective, n, g, seed))
+
+        def inverse_cdf(weights, u):
+            cdf = np.cumsum(weights)
+            cdf /= cdf[-1]
+            return np.minimum(np.searchsorted(cdf, u, side="right"), len(weights) - 1)
+
+        rho, rng = joint_density(bs, g), RngStream(seed)
+        if perspective == "idler_first":
+            dets = inverse_cdf(rho.sum(axis=1), rng.randoms(n))
+            u = rng.randoms(n)
+            pos = np.empty(n, dtype=int)
+            for i in range(len(DETECTORS)):
+                pos[dets == i] = inverse_cdf(rho[i], u[dets == i])
+        else:
+            pos = inverse_cdf(d0_marginal_density(g), rng.randoms(n))
+            cdf_rows = np.cumsum((rho / rho.sum(axis=0)).T, axis=1)[pos]
+            u = rng.randoms(n)
+            dets = np.minimum(np.sum(u[:, None] >= cdf_rows, axis=1), len(DETECTORS) - 1)
+        want = np.zeros((len(DETECTORS), bins), dtype=int)
+        np.add.at(want, (dets, pos), 1)
+        assert run.joint_counts.dtype == want.dtype
+        np.testing.assert_array_equal(run.joint_counts, want)
+
     def test_single_photon_run(self):
         run = run_eraser(EraserConfig(True, "idler_first", 1, default_geometry(), 1))
         assert run.n_photons == 1

@@ -1,8 +1,11 @@
 """Random stream determinism and derivation."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hangon import FixedStream, RngStream
+from hangon.rng import search_sorted
 
 
 def test_same_seed_same_sequence():
@@ -45,6 +48,66 @@ def test_sample_indices_deterministic_and_supported():
     np.testing.assert_array_equal(idx, RngStream(5).sample_indices(w, 10_000))
     frac = np.mean(idx == 3)
     assert abs(frac - 0.75) < 3 * np.sqrt(0.75 * 0.25 / 10_000)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[1.0, np.nan, 1.0], [1.0, np.inf], [-np.inf, 1.0], [1e308, 1e308], [0.0, 0.0], [1.0, -0.5]],
+    ids=["nan", "inf", "minus-inf", "sum-overflows", "all-zero", "negative"],
+)
+def test_sample_indices_rejects_invalid_weights(weights):
+    with pytest.raises(ValueError):
+        RngStream(5).sample_indices(np.array(weights), 100)
+
+
+def _sorted_table(kind: str, n: int, r: np.random.Generator) -> np.ndarray:
+    if kind == "cdf":
+        # Zero-weight bins make long runs of equal cdf values.
+        w = r.random(n) * (r.random(n) < r.choice([0.05, 0.5, 1.0]))
+        w[-1] += 1.0
+        cdf = np.cumsum(w)
+        return cdf / cdf[-1]
+    if kind == "repeats":
+        return np.sort(r.integers(-3, 4, n)).astype(float) * r.choice([1.0, 1e-9, 1e9])
+    if kind == "grid":
+        lo = r.uniform(-50.0, 50.0)
+        xs = np.linspace(lo, lo + r.uniform(1e-6, 100.0), max(n - 1, 2))
+        half = (xs[1] - xs[0]) / 2.0
+        return np.concatenate([xs - half, [xs[-1] + half]])
+    if kind == "tiny":
+        return np.sort(r.random(n)) * 1e-300
+    if kind == "ulps":
+        # Consecutive doubles near 1.
+        return 1.0 + np.sort(r.integers(0, 3 * n, n)) * np.spacing(1.0)
+    # A subnormal span, whose bucket scale overflows.
+    return np.sort(r.integers(0, 2 * n, n)) * 5e-324
+
+
+def _keys(a: np.ndarray, n_keys: int, r: np.random.Generator) -> np.ndarray:
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308]
+    span = a[-1] - a[0]
+    uniform = r.uniform(a[0] - 0.1 * span, a[-1] + 0.1 * span, n_keys)
+    return r.permutation(np.concatenate([a, np.nextafter(a, np.inf), np.nextafter(a, -np.inf), special, uniform]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["cdf", "repeats", "grid", "tiny", "ulps", "subnormal"]),
+    n=st.integers(1, 300),
+    n_keys=st.integers(0, 2500),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_search_sorted_equals_numpy(kind, n, n_keys, seed):
+    r = np.random.default_rng(seed)
+    a = _sorted_table(kind, n, r)
+    keys = _keys(a, n_keys, r)
+    for side in ("left", "right"):
+        got, want = search_sorted(a, keys, side), np.searchsorted(a, keys, side)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    if keys.size % 2 == 0:
+        grid = keys.reshape(2, -1)
+        np.testing.assert_array_equal(search_sorted(a, grid, "right"), np.searchsorted(a, grid, "right"))
 
 
 def test_fixed_stream_replays_and_exhausts():
