@@ -23,6 +23,8 @@ import numpy as np
 from .errors import ConfigError, SimulationError
 from .scenarios import (
     DETECTORS,
+    ORDERS,
+    PERSPECTIVES,
     EraserConfig,
     fringe_extrema,
     geometry_from_config,
@@ -41,10 +43,6 @@ from .scenarios import (
 )
 from .rng import RngStream
 from .verify import DEFAULT_MASTER_SEED, run_suite
-
-_PERSPECTIVE_FLAGS = {"idler-first": "idler_first", "signal-first": "signal_first"}
-_ORDER_FLAGS = {"alice-first": "alice_first", "bob-record-first": "bob_record_first"}
-
 
 @dataclass
 class RunReport:
@@ -100,10 +98,10 @@ def _merged_settings(args, config: dict) -> dict:
             merged[key] = value
     if getattr(args, "bs", None) is not None:
         merged["bs_present"] = args.bs
-    if getattr(args, "perspective", None) is not None:
-        merged["perspective"] = _PERSPECTIVE_FLAGS[args.perspective]
-    if getattr(args, "order", None) is not None:
-        merged["order"] = _ORDER_FLAGS[args.order]
+    for key in ("perspective", "order"):
+        value = getattr(args, key, None)
+        if value is not None:
+            merged[key] = value.replace("-", "_")
     return merged
 
 
@@ -366,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("scenario", choices=list(_SCENARIOS))
     run_p.add_argument("--bs", action=argparse.BooleanOptionalAction, default=None,
                        help="beam splitter present (--bs / --no-bs)")
-    run_p.add_argument("--perspective", choices=sorted(_PERSPECTIVE_FLAGS), default=None)
-    run_p.add_argument("--order", choices=sorted(_ORDER_FLAGS), default=None)
+    for key, values in (("perspective", PERSPECTIVES), ("order", ORDERS)):
+        run_p.add_argument(f"--{key}", choices=sorted(v.replace("_", "-") for v in values), default=None)
     run_p.add_argument("--n", type=int, default=None, help="number of runs/photons")
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--bins", type=int, default=None, help="screen bins")

@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 from typing import Mapping, NamedTuple
 
-from .errors import AllOutcomesForbidden, DuplicateObserver, EmptyBranch, UnknownOutcome
+from .errors import AllOutcomesForbidden, DuplicateObserver, EmptyBranch, PointerNotReady, UnknownOutcome
 from .events import EventLedger, Proposition
 from .rng import FixedStream
 from .states import (
@@ -188,6 +188,8 @@ class Universe:
         self._clock = 0
         self._observers: dict[str, ObserverHandle] = {}
         self._trace: list[TraceEntry] = []
+        # Names of the subsystems any observer here has observed.
+        self._observed: set[str] = set()
 
     @property
     def global_state(self) -> StateVector:
@@ -246,7 +248,12 @@ class Universe:
 
         No observer's path moves and no event is recorded: for every observer
         here, this interaction produces entanglement, not a definite result.
+        A pointer that an observer has already read cannot fire: that would
+        rewrite a record under her, so it raises PointerNotReady and changes
+        nothing.
         """
+        if pointer.name in self._observed:
+            raise PointerNotReady(f"pointer {pointer.name!r} has already been observed")
         if self._answers is None:
             self._state = premeasure(self._state, system_obs, pointer, correlation)
         else:
@@ -327,9 +334,15 @@ class Universe:
         """Born-rule branch selection: sample an outcome within the observer's
         conditional state, hang on to the daughter branch, record the event.
 
-        ``t_happened`` dates the recorded fact; it defaults to now. The global
+        ``t_happened`` dates the recorded fact; it defaults to now. A fact
+        becomes determined only by this measurement, so a date later than now
+        raises ValueError before anything is drawn or written. The global
         state is untouched.
         """
+        if t_happened is not None:
+            t_happened = int(t_happened)
+            if t_happened > self._clock:
+                raise ValueError(f"t_happened={t_happened} is after its determination at t={self._clock}")
         probs = self.branch_probabilities(observer, obs)
         total = sum(probs.values())
         if total <= _FORBIDDEN_TOL:
@@ -349,9 +362,10 @@ class Universe:
         node = observer._node
         observer._node = BranchNode(node, (obs, outcome), node.depth + 1)
         observer.ledger.record(
-            Proposition(obs.subsystem.name, outcome, t if t_happened is None else int(t_happened)),
+            Proposition(obs.subsystem.name, outcome, t if t_happened is None else t_happened),
             t,
         )
+        self._observed.add(obs.subsystem.name)
         self._trace.append(TraceEntry(observer.id, t, obs.name, outcome, probs[outcome]))
         return outcome
 

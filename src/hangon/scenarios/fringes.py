@@ -139,21 +139,17 @@ def chi_square_two_sample(
     b = np.asarray(counts_b, dtype=float).ravel()
     if a.shape != b.shape:
         raise ValueError("count tables must have identical shape")
-    combined = a + b
-    big = combined >= MIN_POOL
-    cells_a = list(a[big])
-    cells_b = list(b[big])
-    if np.any(~big):
-        cells_a.append(float(a[~big].sum()))
-        cells_b.append(float(b[~big].sum()))
-    n_a, n_b = sum(cells_a), sum(cells_b)
-    stat = 0.0
-    used = 0
-    for ca, cb in zip(cells_a, cells_b):
-        tot = ca + cb
-        if tot <= 0:
-            continue
-        used += 1
-        stat += (n_b * ca - n_a * cb) ** 2 / (n_a * n_b * tot)
-    dof = max(used - 1, 1)
+    big = a + b >= MIN_POOL
+    cells_a, cells_b = a[big], b[big]
+    if not big.all():
+        cells_a = np.append(cells_a, a[~big].sum())
+        cells_b = np.append(cells_b, b[~big].sum())
+    n_a, n_b = sum(cells_a.tolist()), sum(cells_b.tolist())
+    if n_a == 0 or n_b == 0:
+        raise ValueError("each sample needs at least one count")
+    tot = cells_a + cells_b
+    used = tot > 0
+    terms = (n_b * cells_a[used] - n_a * cells_b[used]) ** 2 / (n_a * n_b * tot[used])
+    stat = sum(terms.tolist(), 0.0)
+    dof = max(int(used.sum()) - 1, 1)
     return stat, dof, float(chi2.sf(stat, dof))

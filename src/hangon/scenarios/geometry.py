@@ -49,9 +49,13 @@ class SlitGeometry:
         xs = xs.copy()
         xs.setflags(write=False)
         object.__setattr__(self, "screen_positions", xs)
-        object.__setattr__(self, "slit_upper", (float(self.slit_upper[0]), float(self.slit_upper[1])))
-        object.__setattr__(self, "slit_lower", (float(self.slit_lower[0]), float(self.slit_lower[1])))
-        object.__setattr__(self, "detector_position", (float(self.detector_position[0]), float(self.detector_position[1])))
+        for name in ("slit_upper", "slit_lower", "detector_position"):
+            x, y = getattr(self, name)
+            object.__setattr__(self, name, (float(x), float(y)))
+        # The screen is increasing, so its ends bound every position.
+        points = (*self.slit_upper, *self.slit_lower, *self.detector_position, xs[0], xs[-1])
+        if not all(map(math.isfinite, (self.wavenumber, self.screen_distance, *points))):
+            raise ValueError("wavenumber, screen distance and every coordinate must be finite")
         if self.wavenumber <= 0:
             raise ValueError("wavenumber must be positive")
         if self.slit_upper == self.slit_lower:
@@ -124,25 +128,24 @@ def path_difference(g: SlitGeometry, x):
     return d_low - d_up
 
 
+def _slit_waves(g: SlitGeometry, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The spherical wave exp(ik*d)/d of each slit at screen position(s) x."""
+    d_up, d_low = slit_distances(g, x)
+    singular = np.minimum(d_up, d_low) < 1e-12
+    if singular.any():
+        raise SingularPoint(f"screen position {float(x[singular][0])!r} coincides with a slit")
+    return np.exp(1j * g.wavenumber * d_up) / d_up, np.exp(1j * g.wavenumber * d_low) / d_low
+
+
 def double_slit_amplitude(g: SlitGeometry, x: float) -> complex:
     """Sum of the two spherical waves at one screen position."""
-    d_up, d_low = slit_distances(g, float(x))
-    if d_up < 1e-12 or d_low < 1e-12:
-        raise SingularPoint(f"screen position {x!r} coincides with a slit")
-    return complex(
-        np.exp(1j * g.wavenumber * d_up) / d_up
-        + np.exp(1j * g.wavenumber * d_low) / d_low
-    )
+    psi_up, psi_low = _slit_waves(g, np.asarray(float(x)))
+    return complex(psi_up + psi_low)
 
 
 def slit_wave_arrays(g: SlitGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Per-slit spherical-wave amplitudes over all screen samples."""
-    d_up, d_low = slit_distances(g, g.screen_positions)
-    if np.any(d_up < 1e-12) or np.any(d_low < 1e-12):
-        raise SingularPoint("a screen sample coincides with a slit")
-    psi_up = np.exp(1j * g.wavenumber * d_up) / d_up
-    psi_low = np.exp(1j * g.wavenumber * d_low) / d_low
-    return psi_up, psi_low
+    return _slit_waves(g, g.screen_positions)
 
 
 def screen_density(g: SlitGeometry) -> np.ndarray:
@@ -220,21 +223,19 @@ def fringe_extrema(g: SlitGeometry) -> tuple[np.ndarray, np.ndarray]:
     def solve(target: float) -> float:
         return brentq(lambda x: float(path_difference(g, x)) - target, lo, hi, xtol=1e-12)
 
-    maxima = []
-    minima = []
-    m = math.ceil(d_min / lam)
-    while m * lam <= d_max:
-        maxima.append(solve(m * lam))
-        m += 1
-    m = math.ceil(d_min / lam - 0.5)
-    while (m + 0.5) * lam <= d_max:
-        minima.append(solve((m + 0.5) * lam))
-        m += 1
-    return np.asarray(maxima), np.asarray(minima)
+    extrema = []
+    for offset in (0.0, 0.5):  # maxima, then minima
+        found = []
+        m = math.ceil(d_min / lam - offset)
+        while (m + offset) * lam <= d_max:
+            found.append(solve((m + offset) * lam))
+            m += 1
+        extrema.append(np.asarray(found))
+    return extrema[0], extrema[1]
 
 
-def random_geometry(rng: RngStream, bins: int = 256) -> SlitGeometry:
-    """A randomized but well-posed geometry for property tests: varied slit
+def random_geometry(rng: RngStream) -> SlitGeometry:
+    """A randomized but well-posed geometry on 256 screen bins: varied slit
     separation, wavelength, screen distance and span; detector kept far-field."""
     sep = 0.5 + 1.5 * rng.random()
     wavelength = 0.02 + 0.08 * rng.random()
@@ -245,7 +246,7 @@ def random_geometry(rng: RngStream, bins: int = 256) -> SlitGeometry:
         slit_lower=(-sep / 2.0, 0.0),
         wavenumber=2.0 * math.pi / wavelength,
         screen_distance=distance,
-        screen_positions=np.linspace(-half_span, half_span, bins),
+        screen_positions=np.linspace(-half_span, half_span, 256),
         detector_position=(0.0, FAR_FIELD_RATIO * sep + 150.0),
     )
 

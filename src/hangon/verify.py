@@ -175,10 +175,9 @@ def check_double_slit_fringes(seed: int, fast: bool) -> CheckResult:
     gmax, gmin = grid_extrema_indices(density)
     xs = g.screen_positions
     worst = 0.0
-    for x in maxima:
-        worst = max(worst, float(np.min(np.abs(xs[gmax] - x))))
-    for x in minima:
-        worst = max(worst, float(np.min(np.abs(xs[gmin] - x))))
+    for grid, exact in ((gmax, maxima), (gmin, minima)):
+        for x in exact:
+            worst = max(worst, float(np.min(np.abs(xs[grid] - x))))
     n_extrema = len(maxima) + len(minima)
     ok = n_extrema >= 20 and worst <= g.bin_width
     analytic = {
@@ -538,7 +537,7 @@ def _random_ledger_schedule(seed: int) -> int:
     for _ in range(5):
         u.advance_clock(u.clock + int(rng.random() * 4))
         sub = subs[int(rng.random() * 2)]
-        t_hap = int(rng.random() * 10)
+        t_hap = int(rng.random() * (u.clock + 1))  # never after its determination
         u.observe(o, label_observable(sub), rng, t_happened=t_hap)
     horizon = u.clock + 2
     violations = 0
@@ -630,19 +629,18 @@ def _check_seed(master_seed: int, index: int) -> int:
     return master_seed * _SEED_STRIDE + 17 * (index + 1)
 
 
-def _run_checks(master_seed: int, fast: bool, runtimes: dict | None = None) -> list[CheckResult]:
+def _run_checks(master_seed: int, fast: bool, runtimes: dict) -> list[CheckResult]:
     results = []
     for i, fn in enumerate(CHECKS):
         t0 = time.perf_counter()
         results.append(fn(_check_seed(master_seed, i), fast))
-        if runtimes is not None:
-            runtimes[results[-1].name] = time.perf_counter() - t0
+        runtimes[results[-1].name] = time.perf_counter() - t0
     return results
 
 
-def check_determinism(master_seed: int, first_pass: list[CheckResult], fast: bool) -> CheckResult:
-    """Re-run every check with the same master seed and compare report bytes."""
-    second_pass = _run_checks(master_seed, fast)
+def check_determinism(master_seed: int, first_pass: list[CheckResult]) -> CheckResult:
+    """Re-run every check in full with the same master seed and compare report bytes."""
+    second_pass = _run_checks(master_seed, False, {})
     a = json.dumps([asdict(r) for r in first_pass], sort_keys=True)
     b = json.dumps([asdict(r) for r in second_pass], sort_keys=True)
     return CheckResult(
@@ -665,6 +663,6 @@ def run_suite(suite: str = "all", master_seed: int = DEFAULT_MASTER_SEED) -> Sui
     report.results = _run_checks(master_seed, fast, report.runtimes)
     if not fast:
         t0 = time.perf_counter()
-        report.results.append(check_determinism(master_seed, report.results, fast))
+        report.results.append(check_determinism(master_seed, report.results))
         report.runtimes["determinism"] = time.perf_counter() - t0
     return report

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from hangon.cli import main
+from hangon.scenarios import ORDERS, PERSPECTIVES
 
 
 def run_cli(*argv) -> int:
@@ -203,6 +204,19 @@ class TestRunEprAndPair:
         lines = (tmp_path / "double_slit_hist.csv").read_text().splitlines()
         assert lines[0] == "bin_left,bin_right,count"
         assert len(lines) == 257
+
+
+@pytest.mark.parametrize(
+    "scenario, flag, key, values",
+    [("eraser", "--perspective", "perspective", PERSPECTIVES), ("epr", "--order", "order", ORDERS)],
+)
+def test_every_scenario_value_has_its_dashed_flag(tmp_path, capsys, scenario, flag, key, values):
+    """Each value of the scenario's tuple is one flag spelling, ``_`` read as ``-``."""
+    for value in values:
+        argv = ["run", scenario, flag, value.replace("_", "-"), "--n", "200", "--bins", "16"]
+        assert run_cli(*argv, "--out-dir", str(tmp_path)) == 0
+        assert json.loads(capsys.readouterr().out)["config"][key] == value
+    assert run_cli("run", scenario, flag, values[0]) == 2
 
 
 class TestConfigErrors:

@@ -12,6 +12,7 @@ from hangon.scenarios import (
     default_geometry,
     double_slit_amplitude,
     fringe_extrema,
+    geometry_from_config,
     grid_extrema_indices,
     histogram_from_positions,
     momentum_detector_probabilities,
@@ -172,6 +173,57 @@ class TestMomentumDetectors:
                 screen_positions=np.linspace(-1, 1, 8),
                 detector_position=(0.0, 500.0),
             )
+
+
+_GOOD_GEOMETRY = dict(
+    slit_upper=(0.5, 0.0),
+    slit_lower=(-0.5, 0.0),
+    wavenumber=10.0,
+    screen_distance=10.0,
+    screen_positions=np.linspace(-1, 1, 8),
+    detector_position=(0.0, 500.0),
+)
+
+
+class TestGeometryValues:
+    def test_three_coordinate_point_rejected(self):
+        with pytest.raises(ValueError):
+            SlitGeometry(**{**_GOOD_GEOMETRY, "slit_upper": (0.5, 0.0, 9.0)})
+
+    def test_points_become_float_pairs(self):
+        g = SlitGeometry(**{**_GOOD_GEOMETRY, "slit_upper": [1, 0], "detector_position": np.array([0, 500])})
+        assert g.slit_upper == (1.0, 0.0) and type(g.slit_upper[0]) is float
+        assert g.detector_position == (0.0, 500.0) and type(g.detector_position[1]) is float
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("wavenumber", math.nan),
+            ("wavenumber", math.inf),
+            ("screen_distance", math.nan),
+            ("screen_distance", -math.inf),
+            ("slit_upper", (math.nan, 0.0)),
+            ("slit_lower", (-0.5, math.inf)),
+            ("detector_position", (0.0, math.inf)),
+            ("screen_positions", np.array([-1.0, 0.0, math.inf])),
+            ("screen_positions", np.array([-math.inf, 0.0, 1.0])),
+        ],
+    )
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            SlitGeometry(**{**_GOOD_GEOMETRY, field: value})
+
+    def test_nan_wavenumber_config_rejected(self):
+        # It used to build a geometry whose screen density was NaN everywhere.
+        with pytest.raises(ValueError, match="finite"):
+            geometry_from_config({"wavenumber": math.nan})
+
+    def test_singular_point_named_on_the_whole_screen(self):
+        g = SlitGeometry(**{**_GOOD_GEOMETRY, "screen_distance": 0.0, "screen_positions": np.linspace(-0.5, 0.5, 5)})
+        with pytest.raises(SingularPoint, match="screen position -0.5 "):
+            slit_wave_arrays(g)
+        with pytest.raises(SingularPoint, match="screen position 0.5 "):
+            double_slit_amplitude(g, 0.5)
 
 
 class TestScreenSampling:

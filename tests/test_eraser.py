@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from hangon import ConfigError, outcome_probability
@@ -218,6 +220,36 @@ class TestChiSquareTwoSample:
         assert stat == pytest.approx(4.0, rel=1e-12)
         assert dof == 2
         assert p == pytest.approx(math.exp(-2.0), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 20).flatmap(
+            lambda n: st.tuples(*[st.lists(st.integers(0, 300), min_size=n, max_size=n)] * 2)
+        )
+    )
+    def test_statistic_equals_the_cell_loop(self, tables):
+        """The array form gives the cell-by-cell loop's statistic and degrees
+        of freedom bit for bit. Each cell's n_b*a - n_a*b stays below 2**26
+        here, so its square is exact under both the loop's ``x ** 2`` (libm
+        ``pow``, not always correctly rounded) and numpy's ``x * x``."""
+        a, b = (np.array(t, dtype=float) for t in tables)
+        big = a + b >= 10
+        cells = [(x, y) for x, y in zip(a[big].tolist(), b[big].tolist())]
+        if not big.all():
+            cells.append((float(a[~big].sum()), float(b[~big].sum())))
+        n_a, n_b = sum(x for x, _ in cells), sum(y for _, y in cells)
+        if n_a == 0 or n_b == 0:
+            with pytest.raises(ValueError, match="at least one count"):
+                chi_square_two_sample(a, b)
+            return
+        want, used = 0.0, 0
+        for x, y in cells:
+            if x + y > 0:
+                used += 1
+                want += (n_b * x - n_a * y) ** 2 / (n_a * n_b * (x + y))
+        stat, dof, _ = chi_square_two_sample(a, b)
+        assert stat.hex() == want.hex()
+        assert dof == max(used - 1, 1)
 
 
 class TestRuns:
