@@ -206,19 +206,13 @@ class EraserRun:
 
 
 def _sample_idler_first(cfg: EraserConfig, rho: np.ndarray, rng: RngStream):
-    det_weights = rho.sum(axis=1)
-    dets = rng.sample_indices(det_weights, cfg.n_photons)
-    u = rng.randoms(cfg.n_photons)
-    bins = np.empty(cfg.n_photons, dtype=int)
-    for i in range(len(DETECTORS)):
-        mask = dets == i
-        if not np.any(mask):
-            continue
-        cdf = np.cumsum(rho[i])
-        cdf /= cdf[-1]
-        bins[mask] = np.minimum(
-            search_sorted(cdf, u[mask], side="right"), rho.shape[1] - 1
-        )
+    # The detector first, from the row sums; then each photon's screen bin
+    # from its own detector's row, all photons in one multi-table lookup.
+    dets = rng.sample_indices(rho.sum(axis=1), cfg.n_photons)
+    cdf = np.cumsum(rho, axis=1)
+    cdf /= cdf[:, -1:]
+    bins = search_sorted(cdf, rng.randoms(cfg.n_photons), side="right", rows=dets)
+    np.minimum(bins, rho.shape[1] - 1, out=bins)
     return dets, bins
 
 
@@ -229,13 +223,9 @@ def _sample_signal_first(cfg: EraserConfig, rho: np.ndarray, rng: RngStream):
     bins = rng.sample_indices(marginal, cfg.n_photons)
     cond = detector_conditional_given_bin(cfg.bs_present, cfg.geometry, _rho=rho)
     cdf = np.cumsum(cond, axis=1)
-    u = rng.randoms(cfg.n_photons)
-    # The detector index is the number of cdf columns at or below u, capped
-    # at the last detector. The columns rise left to right, so the last one
-    # can only add to a count that is already at the cap: it is skipped.
-    dets = np.zeros(cfg.n_photons, dtype=int)
-    for k in range(len(DETECTORS) - 1):
-        dets += u >= cdf[:, k][bins]
+    # Each photon's detector from its own bin's row of the conditional cdf.
+    dets = search_sorted(cdf, rng.randoms(cfg.n_photons), side="right", rows=bins)
+    np.minimum(dets, len(DETECTORS) - 1, out=dets)
     return dets, bins
 
 

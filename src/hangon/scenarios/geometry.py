@@ -11,6 +11,7 @@ difference and used as the yardstick for every fringe test.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,9 +102,14 @@ def default_geometry(bins: int = 512) -> SlitGeometry:
 
 
 def geometry_from_config(cfg: dict) -> SlitGeometry:
-    bins = int(cfg.get("bins", 512))
+    bins = cfg.get("bins", 512)
     lo = float(cfg.get("screen_min", -30.0))
     hi = float(cfg.get("screen_max", 30.0))
+    # Checked before np.linspace, which warns on a non-finite end or span.
+    if isinstance(bins, bool) or not isinstance(bins, numbers.Integral) or bins < 2:
+        raise ValueError(f"bins must be an integer of at least 2, got {bins!r}")
+    if not all(map(math.isfinite, (lo, hi, hi - lo))):
+        raise ValueError("screen_min, screen_max and the span between them must be finite")
     return SlitGeometry(
         slit_upper=tuple(cfg.get("slit_upper", (0.5, 0.0))),
         slit_lower=tuple(cfg.get("slit_lower", (-0.5, 0.0))),

@@ -1,6 +1,7 @@
 """Two-slit amplitudes, fringe extrema, momentum detection, screen sampling."""
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,26 @@ class TestGeometryValues:
         # It used to build a geometry whose screen density was NaN everywhere.
         with pytest.raises(ValueError, match="finite"):
             geometry_from_config({"wavenumber": math.nan})
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ({"screen_max": math.inf}, "finite"),
+            ({"screen_min": math.nan}, "finite"),
+            ({"screen_min": -1e308, "screen_max": 1e308}, "finite"),
+            ({"bins": math.inf}, "bins must be an integer"),
+            ({"bins": 2.7}, "bins must be an integer"),
+            ({"bins": 1}, "bins must be an integer"),
+        ],
+        ids=["inf-max", "nan-min", "span-overflows", "inf-bins", "fractional-bins", "one-bin"],
+    )
+    def test_bad_screen_config_rejected_before_linspace(self, cfg, message):
+        # np.linspace used to warn on these, and then the screen was called
+        # "not strictly increasing" instead of non-finite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=message):
+                geometry_from_config(cfg)
 
     def test_singular_point_named_on_the_whole_screen(self):
         g = SlitGeometry(**{**_GOOD_GEOMETRY, "screen_distance": 0.0, "screen_positions": np.linspace(-0.5, 0.5, 5)})

@@ -364,6 +364,29 @@ class TestRuns:
         assert run.joint_counts.dtype == want.dtype
         np.testing.assert_array_equal(run.joint_counts, want)
 
+    @pytest.mark.parametrize("n", [1, 1_000, 70_000])
+    @pytest.mark.parametrize("bs", [True, False])
+    def test_idler_first_equals_binary_search_reference_at_any_size(self, bs, n):
+        """Fewer photons than the 4 x 16,384 buckets of a 4096-bin screen
+        take the per-row binary search; 70,000 take the bucket tables. Both
+        give the photons of the reference above."""
+        g, seed = default_geometry(4096), 29
+        run = run_eraser(EraserConfig(bs, "idler_first", n, g, seed))
+
+        def inverse_cdf(weights, u):
+            cdf = np.cumsum(weights)
+            cdf /= cdf[-1]
+            return np.minimum(np.searchsorted(cdf, u, side="right"), len(weights) - 1)
+
+        rho, rng = joint_density(bs, g), RngStream(seed)
+        dets = inverse_cdf(rho.sum(axis=1), rng.randoms(n))
+        u = rng.randoms(n)
+        want = np.zeros((len(DETECTORS), g.screen_positions.size), dtype=int)
+        for i in range(len(DETECTORS)):
+            np.add.at(want[i], inverse_cdf(rho[i], u[dets == i]), 1)
+        assert run.joint_counts.dtype == want.dtype
+        np.testing.assert_array_equal(run.joint_counts, want)
+
     def test_single_photon_run(self):
         run = run_eraser(EraserConfig(True, "idler_first", 1, default_geometry(), 1))
         assert run.n_photons == 1

@@ -110,6 +110,77 @@ def test_search_sorted_equals_numpy(kind, n, n_keys, seed):
         np.testing.assert_array_equal(search_sorted(a, grid, "right"), np.searchsorted(a, grid, "right"))
 
 
+def _per_row_searchsorted(tables, keys, side, rows):
+    want = np.empty(keys.shape, dtype=np.intp)
+    for q, table in enumerate(tables):
+        want[rows == q] = np.searchsorted(table, keys[rows == q], side)
+    return want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["cdf", "repeats", "grid", "tiny", "ulps", "subnormal"]), min_size=1, max_size=5),
+    n=st.integers(1, 300),
+    n_keys=st.integers(0, 2500),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_multi_table_search_equals_numpy_per_row(kinds, n, n_keys, seed):
+    r = np.random.default_rng(seed)
+    # Rows must be equally long, and a grid table has at least 3 entries.
+    tables = np.stack([_sorted_table(kind, n, r)[:n] for kind in kinds])
+    keys = np.concatenate([_keys(table, n_keys, r) for table in tables])
+    rows = r.integers(0, len(tables), keys.size)
+    shapes = [keys.shape] + ([(2, keys.size // 2)] if keys.size % 2 == 0 else [])
+    for shape in shapes:
+        k, q = keys.reshape(shape), rows.reshape(shape)
+        for side in ("left", "right"):
+            got, want = search_sorted(tables, k, side, rows=q), _per_row_searchsorted(tables, k, side, q)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+
+_SHORT_KEYS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5, 1.0, -1.0, 2.0, 1e-300, -5e-324, 0.25])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_short_table_search_equals_numpy(n):
+    r = np.random.default_rng(n)
+    # Ties, both infinities and both zeros, then the same table ending in NaN.
+    table = np.sort(r.choice([-np.inf, -1.0, -0.0, 0.0, 0.5, 0.5, 1.0, np.inf], n))
+    with_nan = np.sort(np.concatenate([table[:-1], [np.nan]]))
+    keys = r.permutation(np.concatenate([_SHORT_KEYS, table, np.nextafter(table, 0.0), r.uniform(-2, 2, 40)]))
+    for side in ("left", "right"):
+        for a in (table, with_nan):
+            got, want = search_sorted(a, keys, side), np.searchsorted(a, keys, side)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        tables = np.stack([table, with_nan, table * 2.0])
+        rows = r.integers(0, 3, keys.size)
+        np.testing.assert_array_equal(search_sorted(tables, keys, side, rows=rows),
+                                      _per_row_searchsorted(tables, keys, side, rows))
+
+
+def test_search_sorted_rejects_bad_rows():
+    tables = np.array([[0.0, 1.0], [2.0, 3.0]])
+    for rows in ([0, 2], [-1, 0], [0]):
+        with pytest.raises(ValueError):
+            search_sorted(tables, [0.5, 0.5], rows=np.array(rows))
+    with pytest.raises(ValueError):
+        search_sorted(tables, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_sample_indices_with_few_weights_equals_binary_search(k):
+    w = np.random.default_rng(k).random(k)
+    w[k // 2] = 0.0
+    got = RngStream(k).sample_indices(w, 20_000)
+    cdf = np.cumsum(w)
+    cdf /= cdf[-1]
+    want = np.minimum(np.searchsorted(cdf, RngStream(k).randoms(20_000), side="right"), k - 1)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
 def test_fixed_stream_replays_and_exhausts():
     fs = FixedStream([0.1, 0.9])
     assert fs.random() == 0.1
