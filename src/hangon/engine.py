@@ -15,8 +15,10 @@ projected from and by her current node: the unnormalized branch, so a query
 projects only through the selectors added since the last one, plus the
 normalized branch and the class weights of every observable asked about at
 that node, so a repeated query on an unchanged path is a lookup.
-``entangle_step`` replaces the global state, which makes every cache stale;
-the next query rebuilds it from the root once.
+``observe`` and ``force_observe`` read the cached class weights in place;
+``branch_probabilities`` hands callers a copy. ``entangle_step`` replaces
+the global state, which makes every cache stale; the next query rebuilds it
+from the root once.
 
 The universes that one ``Schedule.counts``, ``Schedule.joint`` or
 ``sequential_joint_distribution`` call builds share one ``_AnswerTable``,
@@ -67,7 +69,9 @@ _FORBIDDEN_TOL = 1e-12
 # NamedTuples: immutable, compared and hashed field by field, and built in
 # half the time of a frozen dataclass or less. The ledger's Proposition and
 # EventRecord are public API and stay frozen dataclasses: their value
-# equality and hashing never make them equal to a plain tuple.
+# equality and hashing never make them equal to a plain tuple. ``observe``
+# builds one slotted Proposition; the ledger stores it with its time and
+# builds EventRecords only when read.
 
 
 class BranchNode(NamedTuple):
@@ -310,19 +314,24 @@ class Universe:
             observer._memo = (self._state, node) + shared
         return conditional
 
-    def branch_probabilities(self, observer: ObserverHandle, obs: Observable) -> dict[str, float]:
-        """The sampling distribution ``observe`` would draw from, untouched.
-
-        Computed once per observable at each node of the observer's path;
-        every call returns a fresh copy of the cached weights.
-        """
+    def _class_weights(self, observer: ObserverHandle, obs: Observable) -> dict[str, float]:
+        """The observer's memoised class weights of ``obs`` at her node,
+        computed on first use. The dict is the cache's own: read it only."""
         conditional = self.conditional_state(observer)
         weights = observer._memo[4]
         probs = weights.get(obs)
         if probs is None:
             probs = {cls: outcome_probability(conditional, obs, cls) for cls in obs.class_names}
             weights[obs] = probs
-        return dict(probs)
+        return probs
+
+    def branch_probabilities(self, observer: ObserverHandle, obs: Observable) -> dict[str, float]:
+        """The sampling distribution ``observe`` would draw from, untouched.
+
+        Computed once per observable at each node of the observer's path;
+        every call returns a fresh copy of the cached weights.
+        """
+        return dict(self._class_weights(observer, obs))
 
     def observe(
         self,
@@ -343,7 +352,7 @@ class Universe:
             t_happened = int(t_happened)
             if t_happened > self._clock:
                 raise ValueError(f"t_happened={t_happened} is after its determination at t={self._clock}")
-        probs = self.branch_probabilities(observer, obs)
+        probs = self._class_weights(observer, obs)
         total = sum(probs.values())
         if total <= _FORBIDDEN_TOL:
             raise AllOutcomesForbidden(f"no outcome of {obs.name!r} has support in this branch")
@@ -406,7 +415,7 @@ def force_observe(
     Returns the probability the outcome had. Forcing a zero-probability
     outcome raises EmptyBranch: nothing can hang on to an unsupported branch.
     """
-    probs = universe.branch_probabilities(observer, obs)
+    probs = universe._class_weights(observer, obs)
     if outcome not in probs:
         raise UnknownOutcome(f"unknown outcome class {outcome!r} on {obs.name!r}")
     p = probs[outcome]

@@ -7,10 +7,12 @@ time, and may even be the first moment the proposition has any truth value
 at all. Once True (or False, for a rival outcome of the same fact slot) it
 never reverts.
 
-Recording is one list append. Each ledger keeps an index from fact slot to
-the first determination of the slot and of each outcome asserted for it;
-a query first extends that index over the records appended since the last
-query, then answers with two dict lookups, whatever the ledger's length.
+Recording is one list append of a ``(proposition, t_determined)`` pair;
+the ``EventRecord``s are built only when ``records`` or ``to_json_lines``
+reads the ledger. Each ledger keeps an index from fact slot to the first
+determination of the slot and of each outcome asserted for it; a query
+first extends that index over the records appended since the last query,
+then answers with two dict lookups, whatever the ledger's length.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ class Truth(enum.Enum):
     INDEFINITE = "indefinite"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proposition:
     """One fact slot: (subsystem, happening time) asserted to show an outcome."""
 
@@ -36,7 +38,7 @@ class Proposition:
     t_happened: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventRecord:
     proposition: Proposition
     t_determined: int
@@ -46,33 +48,34 @@ class EventRecord:
 class EventLedger:
     """Append-only, per-observer; sorted by determination time.
 
-    ``record`` appends and indexes nothing. ``_slots`` maps each fact slot
-    ``(subsystem, t_happened)`` to ``(first t_determined, {outcome: first
-    t_determined})`` over the first ``_indexed`` records; a query extends it
-    over the rest, so a ledger that is never queried never builds it, and
-    each query costs two dict lookups.
+    ``record`` appends a ``(proposition, t_determined)`` pair and indexes
+    nothing. ``_slots`` maps each fact slot ``(subsystem, t_happened)`` to
+    ``(first t_determined, {outcome: first t_determined})`` over the first
+    ``_indexed`` records; a query extends it over the rest, so a ledger that
+    is never queried never builds it, and each query costs two dict lookups.
     """
 
     __slots__ = ("observer_id", "_records", "_slots", "_indexed")
 
     def __init__(self, observer_id: str):
         self.observer_id = observer_id
-        self._records: list[EventRecord] = []
+        self._records: list[tuple[Proposition, int]] = []
         self._slots: dict[tuple[str, int], tuple[int, dict[str, int]]] = {}
         self._indexed = 0
 
     @property
     def records(self) -> tuple[EventRecord, ...]:
-        return tuple(self._records)
+        """The determinations so far, in order, as ``EventRecord``s."""
+        observer = self.observer_id
+        return tuple(EventRecord(p, t, observer) for p, t in self._records)
 
     def record(self, proposition: Proposition, t_determined: int) -> None:
         """Append one determination; determination times must not decrease."""
         t = int(t_determined)
-        if self._records and t < self._records[-1].t_determined:
-            raise OutOfOrderDetermination(
-                f"t_determined {t} precedes last recorded {self._records[-1].t_determined}"
-            )
-        self._records.append(EventRecord(proposition, t, self.observer_id))
+        records = self._records
+        if records and t < records[-1][1]:
+            raise OutOfOrderDetermination(f"t_determined {t} precedes last recorded {records[-1][1]}")
+        records.append((proposition, t))
 
     def _catch_up(self) -> None:
         """Index the records appended since the last query.
@@ -83,9 +86,7 @@ class EventLedger:
         """
         end = len(self._records)
         slots = self._slots
-        for rec in self._records[self._indexed : end]:
-            p = rec.proposition
-            t = rec.t_determined
+        for p, t in self._records[self._indexed : end]:
             slots.setdefault((p.subsystem, p.t_happened), (t, {}))[1].setdefault(p.outcome, t)
         self._indexed = end
 
@@ -119,7 +120,7 @@ class EventLedger:
                 {"observer": r.observer, **asdict(r.proposition), "t_determined": r.t_determined},
                 separators=(",", ":"),
             )
-            for r in self._records
+            for r in self.records
         )
 
     def __len__(self) -> int:

@@ -7,6 +7,14 @@ Child streams are derived by counter offsetting (Philox ``jumped`` strides of
 2^128 draws), so a run can hand out non-overlapping per-task streams from one
 master seed.
 
+Scalar draws come from a block: ``random`` pops the next double from a
+list that one ``Generator.random(_BLOCK)`` call filled, which is several
+times cheaper per draw than a scalar ``Generator.random()`` call. The
+doubles are the same: numpy builds each from the stream's next 64 bits, so
+``random(n)`` equals n scalar calls. ``randoms`` serves what is left of the
+block before drawing more, so every interleaving of ``random``, ``randoms``
+and ``sample_indices`` yields exactly the doubles of unbuffered calls.
+
 Inverse-CDF sampling looks each uniform draw up with ``search_sorted``, which
 returns exactly what ``np.searchsorted`` returns, key by key, without a binary
 search for most keys. It takes one sorted table or a stack of equal-length
@@ -35,6 +43,9 @@ _CHUNK = 1 << 14
 _MAX_COUNTED = 8
 # Below this table length a binary search is already short.
 _MIN_TABLE = 64
+# RngStream.random draws this many doubles at a time. A stream that makes
+# only a few draws pays for the whole block, so it stays small.
+_BLOCK = 64
 
 
 def search_sorted(a: np.ndarray, keys, side: str = "left", rows=None) -> np.ndarray:
@@ -202,9 +213,13 @@ def _bucket_search(tables, flat, row_of, side, out) -> np.ndarray:
 
 
 class RngStream:
-    """A seeded Philox stream; ``derive`` hands out disjoint substreams."""
+    """A seeded Philox stream; ``derive`` hands out disjoint substreams.
 
-    __slots__ = ("seed", "offset", "_gen")
+    ``_block`` holds the drawn but not yet served doubles, last one first,
+    so ``random`` serves the next with one ``list.pop``.
+    """
+
+    __slots__ = ("seed", "offset", "_gen", "_block")
 
     def __init__(self, seed: int, offset: int = 0):
         self.seed = int(seed)
@@ -213,14 +228,34 @@ class RngStream:
         if self.offset:
             bitgen = bitgen.jumped(self.offset)
         self._gen = np.random.Generator(bitgen)
+        self._block: list[float] = []
 
     def random(self) -> float:
-        """One uniform draw in [0, 1)."""
-        return float(self._gen.random())
+        """One uniform draw in [0, 1).
+
+        Served from a block of ``_BLOCK`` draws that one ``Generator.random``
+        call fills when the last block runs out. That is exact: each double
+        takes the stream's next 64 bits whichever way the calls split, so
+        the block holds the next ``_BLOCK`` scalar draws.
+        """
+        try:
+            return self._block.pop()
+        except IndexError:
+            block = self._block = self._gen.random(_BLOCK).tolist()
+            block.reverse()
+            return block.pop()
 
     def randoms(self, n: int) -> np.ndarray:
-        """n uniform draws in [0, 1)."""
-        return self._gen.random(int(n))
+        """n uniform draws in [0, 1); the rest of ``random``'s block first."""
+        n = int(n)
+        block = self._block
+        if not block or n <= 0:
+            return self._gen.random(n)
+        served = block[: -n - 1 : -1]
+        del block[len(block) - len(served) :]
+        if len(served) == n:
+            return np.array(served)
+        return np.concatenate((served, self._gen.random(n - len(served))))
 
     def derive(self, index: int) -> "RngStream":
         """Independent substream ``index``, offset by (index+1)*2^128 draws.

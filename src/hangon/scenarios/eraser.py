@@ -123,12 +123,15 @@ def slit_mode_vectors(g: SlitGeometry) -> tuple[np.ndarray, np.ndarray]:
     return psi_up, psi_low
 
 
-def joint_density(bs_present: bool, g: SlitGeometry) -> np.ndarray:
+def joint_density(
+    bs_present: bool, g: SlitGeometry, *, _modes: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """Joint detection distribution over (detector, screen bin), summing to 1.
 
     Row i is |sum over paths of branch_amplitude(i, path) * mode_path|^2.
+    Callers that hold ``slit_mode_vectors(g)`` already pass it as ``_modes``.
     """
-    psi = dict(zip(PATHS, slit_mode_vectors(g)))
+    psi = dict(zip(PATHS, slit_mode_vectors(g) if _modes is None else _modes))
     amps = branch_amplitudes(bs_present)
     rho = np.zeros((len(DETECTORS), len(g.screen_positions)))
     for i, det in enumerate(DETECTORS):
@@ -141,13 +144,16 @@ def joint_density(bs_present: bool, g: SlitGeometry) -> np.ndarray:
     return rho / rho.sum()
 
 
-def d0_marginal_density(g: SlitGeometry) -> np.ndarray:
+def d0_marginal_density(
+    g: SlitGeometry, *, _modes: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """Screen marginal of the signal photon, normalized over bins.
 
     Computed from the slit modes alone: it takes no beam-splitter flag, which
-    is the point — nothing about the later choice can reach it.
+    is the point — nothing about the later choice can reach it. Callers that
+    hold ``slit_mode_vectors(g)`` already pass it as ``_modes``.
     """
-    psi_up, psi_low = slit_mode_vectors(g)
+    psi_up, psi_low = slit_mode_vectors(g) if _modes is None else _modes
     m = (np.abs(psi_up) ** 2 + np.abs(psi_low) ** 2) / 2.0
     return m / m.sum()
 
@@ -216,10 +222,10 @@ def _sample_idler_first(cfg: EraserConfig, rho: np.ndarray, rng: RngStream):
     return dets, bins
 
 
-def _sample_signal_first(cfg: EraserConfig, rho: np.ndarray, rng: RngStream):
+def _sample_signal_first(cfg: EraserConfig, rho: np.ndarray, modes, rng: RngStream):
     # Screen positions first, from the choice-independent marginal; the
     # configured wave function is consulted only for the detector labels.
-    marginal = d0_marginal_density(cfg.geometry)
+    marginal = d0_marginal_density(cfg.geometry, _modes=modes)
     bins = rng.sample_indices(marginal, cfg.n_photons)
     cond = detector_conditional_given_bin(cfg.bs_present, cfg.geometry, _rho=rho)
     cdf = np.cumsum(cond, axis=1)
@@ -231,12 +237,13 @@ def _sample_signal_first(cfg: EraserConfig, rho: np.ndarray, rng: RngStream):
 
 def run_eraser(cfg: EraserConfig) -> EraserRun:
     """Sample the configured run and build per-detector fringe histograms."""
-    rho = joint_density(cfg.bs_present, cfg.geometry)
+    modes = slit_mode_vectors(cfg.geometry)
+    rho = joint_density(cfg.bs_present, cfg.geometry, _modes=modes)
     rng = RngStream(cfg.seed)
     if cfg.perspective == "idler_first":
         dets, bins = _sample_idler_first(cfg, rho, rng)
     else:
-        dets, bins = _sample_signal_first(cfg, rho, rng)
+        dets, bins = _sample_signal_first(cfg, rho, modes, rng)
 
     nbins = rho.shape[1]
     cell = dets * nbins

@@ -29,6 +29,9 @@ from .errors import (
 NORM_TOL = 1e-12
 # Squared-modulus floor below which stored amplitudes are pruned.
 PRUNE_THRESHOLD = 1e-30
+# Squared norms below this may hold subnormal squares, whose lost digits
+# would show in the norm; they are normalized by the rescaling path.
+_MIN_NORM2 = 2.0 ** -970
 
 
 @dataclass(frozen=True)
@@ -145,19 +148,16 @@ class StateVector:
     def norm_squared(self) -> float:
         n2 = self._norm2
         if n2 is None:
-            n2 = math.fsum((a.real * a.real + a.imag * a.imag) for a in self._terms.values())
-            self._norm2 = n2
+            n2 = self._norm2 = _norm_squared(self._terms)
         return n2
 
     def normalized(self) -> "StateVector":
         """Unit-norm copy; raises ZeroNorm if there is nothing to scale."""
         n2 = self.norm_squared()
-        if n2 <= 0.0:
-            raise ZeroNorm("state has zero norm")
         if abs(n2 - 1.0) <= NORM_TOL:
             return self
-        scale = 1.0 / math.sqrt(n2)
-        return _derived(self, {k: v * scale for k, v in self._terms.items()})
+        base, scale = _unit_scale(self._terms, n2, "state has zero norm")
+        return _derived(self, {k: v * scale for k, v in base.items()})
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -207,6 +207,36 @@ def _validate_labels(subsystems: Sequence[Subsystem], labels: Sequence[str]) -> 
     return key
 
 
+def _norm_squared(terms: Mapping[tuple[str, ...], complex]) -> float:
+    """Sum of squared moduli; inf when the sum overflows."""
+    try:
+        return math.fsum((a.real * a.real + a.imag * a.imag) for a in terms.values())
+    except OverflowError:
+        return math.inf
+
+
+def _unit_scale(
+    terms: Mapping[tuple[str, ...], complex], n2: float, empty: str
+) -> tuple[Mapping[tuple[str, ...], complex], float]:
+    """``(base, scale)`` such that ``base[k] * scale`` has unit norm, given
+    the squared norm ``n2`` of ``terms``; raises ZeroNorm(``empty``) when
+    every amplitude is zero.
+
+    While ``n2`` is finite and at least ``_MIN_NORM2``, ``base`` is
+    ``terms`` and ``scale`` is ``1 / sqrt(n2)``. Otherwise the squares
+    overflowed, underflowed or lost digits as subnormals, so ``base`` is
+    ``terms`` divided by their largest real or imaginary part, which brings
+    every square into [0, 1] before the norm is taken again.
+    """
+    if _MIN_NORM2 <= n2 < math.inf:
+        return terms, 1.0 / math.sqrt(n2)
+    largest = max((max(abs(a.real), abs(a.imag)) for a in terms.values()), default=0.0)
+    if largest == 0.0:
+        raise ZeroNorm(empty)
+    base = {k: v / largest for k, v in terms.items()}
+    return base, 1.0 / math.sqrt(_norm_squared(base))
+
+
 def _pruned(terms: dict[tuple[str, ...], complex]) -> dict[tuple[str, ...], complex]:
     return {
         k: v
@@ -227,11 +257,12 @@ def make_state(
         acc[key] = acc.get(key, 0j) + _check_finite(complex(amp))
     if not acc:
         raise ZeroNorm("no terms supplied")
-    n2 = math.fsum((a.real * a.real + a.imag * a.imag) for a in acc.values())
-    if n2 <= 0.0:
-        raise ZeroNorm("all amplitudes cancelled")
-    scale = 1.0 / math.sqrt(n2)
-    scaled = _pruned({k: v * scale for k, v in acc.items()})
+    base, scale = _unit_scale(acc, _norm_squared(acc), "all amplitudes cancelled")
+    scaled = {
+        k: w
+        for k, v in base.items()
+        if ((w := v * scale).real * w.real + w.imag * w.imag) >= PRUNE_THRESHOLD
+    }
     if not scaled:
         raise ZeroNorm("all amplitudes cancelled")
     return StateVector(subs, scaled)

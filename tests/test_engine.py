@@ -64,6 +64,18 @@ class TestUniverseBasics:
         o = u.register_observer("alice")
         assert u.branch_probabilities(o, A_SPIN) == {"+": 1.0, "-": 0.0}
 
+    def test_branch_probabilities_hands_out_a_copy(self):
+        # observe reads the cached weights in place; a caller's edits to the
+        # returned dict must not reach them.
+        u = singlet_universe()
+        o = u.register_observer("alice")
+        probs = u.branch_probabilities(o, A_SPIN)
+        want = dict(probs)
+        probs["+"], probs["-"] = 0.0, 1.0
+        assert u.branch_probabilities(o, A_SPIN) == want
+        assert u.observe(o, A_SPIN, FixedStream([0.25])) == "+"
+        assert u.trace[-1].probability == want["+"]
+
     def test_register_two_observers(self):
         u = singlet_universe()
         alice = u.register_observer("alice")

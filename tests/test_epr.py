@@ -134,3 +134,13 @@ class TestPartialPair:
     def test_record_observable_covers_ready(self):
         obs = record_observable()
         assert set(obs.class_names) == {"ready", "+", "-"}
+
+
+def test_sampled_counts_golden():
+    """Frozen tallies for one seed: the draws, their order and the outcome
+    rule are all part of the reproducibility contract."""
+    want = {("+", "+"): 0, ("+", "-"): 519, ("-", "+"): 481, ("-", "-"): 0}
+    for order in ORDERS:
+        assert list(run_epr(order, 1000, 3).counts.items()) == list(want.items())
+    pair = {("X", "a"): 316, ("X", "b"): 358, ("Y", "a"): 326, ("Y", "b"): 0}
+    assert list(run_partial_pair(1000, 3).counts.items()) == list(pair.items())

@@ -321,9 +321,9 @@ class TestRuns:
         calls = [0]
         real_joint_density = eraser_module.joint_density
 
-        def counting_joint_density(*args):
+        def counting_joint_density(*args, **kwargs):
             calls[0] += 1
-            return real_joint_density(*args)
+            return real_joint_density(*args, **kwargs)
 
         monkeypatch.setattr(eraser_module, "joint_density", counting_joint_density)
         run = run_eraser(EraserConfig(bs, perspective, 500, default_geometry(), 4))
@@ -332,6 +332,26 @@ class TestRuns:
         cond = detector_conditional_given_bin(bs, default_geometry())
         assert calls[0] == 2
         np.testing.assert_array_equal(cond, (run.analytic_joint / run.analytic_joint.sum(axis=0)).T)
+
+    @pytest.mark.parametrize("perspective", ["idler_first", "signal_first"])
+    def test_slit_waves_evaluated_once_per_run(self, monkeypatch, perspective):
+        """The joint and the signal-first marginal share one evaluation of
+        the slit waves, and give the values of their public calls."""
+        calls = [0]
+        real_slit_wave_arrays = eraser_module.slit_wave_arrays
+
+        def counting_slit_wave_arrays(*args, **kwargs):
+            calls[0] += 1
+            return real_slit_wave_arrays(*args, **kwargs)
+
+        monkeypatch.setattr(eraser_module, "slit_wave_arrays", counting_slit_wave_arrays)
+        g = default_geometry()
+        modes = eraser_module.slit_mode_vectors(g)
+        np.testing.assert_array_equal(joint_density(True, g, _modes=modes), joint_density(True, g))
+        np.testing.assert_array_equal(d0_marginal_density(g, _modes=modes), d0_marginal_density(g))
+        calls[0] = 0
+        run_eraser(EraserConfig(True, perspective, 500, g, 4))
+        assert calls[0] == 1
 
     @pytest.mark.parametrize("bins", [512, 4096])
     @pytest.mark.parametrize("perspective", ["idler_first", "signal_first"])

@@ -1,7 +1,7 @@
 """Random stream determinism and derivation."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hangon import FixedStream, RngStream
@@ -187,3 +187,49 @@ def test_fixed_stream_replays_and_exhausts():
     assert fs.random() == 0.9
     with pytest.raises(IndexError):
         fs.random()
+
+
+def _plain_generator(seed: int, offset: int) -> np.random.Generator:
+    bitgen = np.random.Philox(key=seed)
+    return np.random.Generator(bitgen.jumped(offset) if offset else bitgen)
+
+
+# One call of a program: a scalar draw, n draws at once, or n inverse-CDF
+# samples over a small weight vector.
+_calls = st.one_of(
+    st.tuples(st.just("random"), st.integers(1, 150)),
+    st.tuples(st.just("randoms"), st.integers(0, 150)),
+    st.tuples(st.just("sample_indices"), st.integers(1, 150)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    derived=st.one_of(st.none(), st.integers(0, 3)),
+    program=st.lists(_calls, min_size=1, max_size=12),
+    weights=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6).filter(any),
+)
+@example(seed=9, derived=None, weights=[1.0, 3.0],
+         program=[("random", 63), ("randoms", 2), ("random", 130), ("sample_indices", 70), ("random", 1)])
+def test_stream_equals_plain_numpy_generator(seed, derived, program, weights):
+    """Every interleaving of scalar draws, arrays and samples, including
+    runs of scalar draws across several blocks, gives exactly the doubles
+    of a plain Philox generator, on root and derived streams alike."""
+    stream = RngStream(seed) if derived is None else RngStream(seed).derive(derived)
+    plain = _plain_generator(seed, 0 if derived is None else derived + 1)
+    w = np.array(weights)
+    cdf = np.cumsum(w)
+    cdf /= cdf[-1]
+    for kind, n in program:
+        if kind == "random":
+            got = [stream.random() for _ in range(n)]
+            assert all(type(x) is float for x in got)
+            assert got == [float(plain.random()) for _ in range(n)]
+        elif kind == "randoms":
+            got, want = stream.randoms(n), plain.random(n)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+        else:
+            want = np.minimum(np.searchsorted(cdf, plain.random(n), side="right"), len(w) - 1)
+            np.testing.assert_array_equal(stream.sample_indices(w, n), want)

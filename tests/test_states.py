@@ -25,6 +25,7 @@ from hangon import (
     tensor,
     to_canonical_json,
 )
+from hangon.states import NORM_TOL
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -81,6 +82,40 @@ class TestMakeState:
         sub = Subsystem("x", ("a", "b"))
         with pytest.raises(ValueError):
             make_state([sub], [(("a",), float("nan"))])
+
+    @staticmethod
+    def _assert_unit(s, want_a, want_b):
+        assert abs(s.norm_squared() - 1.0) <= NORM_TOL
+        assert s.amplitude(("a",)) == pytest.approx(want_a, abs=1e-15)
+        assert s.amplitude(("b",)) == pytest.approx(want_b, abs=1e-15)
+
+    def test_squares_that_overflow_still_normalize(self):
+        # The squared norm overflows to inf; it must not scale every term to 0.
+        sub = Subsystem("x", ("a", "b"))
+        self._assert_unit(make_state([sub], [(("a",), 1e200), (("b",), 1e200)]), INV_SQRT2, INV_SQRT2)
+
+    def test_squares_that_underflow_still_normalize(self):
+        # Each square underflows to 0; the amplitudes did not cancel.
+        sub = Subsystem("x", ("a", "b"))
+        self._assert_unit(make_state([sub], [(("a",), 1e-170), (("b",), 1e-170)]), INV_SQRT2, INV_SQRT2)
+
+    def test_subnormal_squares_keep_their_digits(self):
+        # Subnormal squares lose digits: the norm read 1.0000111.
+        sub = Subsystem("x", ("a", "b"))
+        s = make_state([sub], [(("a",), 1e-160), (("b",), 3e-160)])
+        self._assert_unit(s, 1 / math.sqrt(10), 3 / math.sqrt(10))
+
+    @pytest.mark.parametrize("amps", [(1e200, 1e200), (1e-170, 1e-170), (1e-160, 3e-160), (1e308, -1e308j)])
+    def test_normalized_rescales_out_of_range_norms(self, amps):
+        sub = Subsystem("x", ("a", "b"))
+        raw = StateVector([sub], {("a",): complex(amps[0]), ("b",): complex(amps[1])})
+        unit = raw.normalized()
+        assert abs(unit.norm_squared() - 1.0) <= NORM_TOL
+        assert unit == make_state([sub], [(("a",), amps[0]), (("b",), amps[1])])
+
+    def test_normalized_state_without_terms_has_zero_norm(self):
+        with pytest.raises(ZeroNorm):
+            StateVector([Subsystem("x", ("a", "b"))], {}).normalized()
 
 
 class TestTensor:
