@@ -1,13 +1,25 @@
-"""Entangle/observe schedules and joint distributions over observations.
+"""Engine programs and joint distributions over observations.
 
-A ``Schedule`` is one observer's fixed sequence of entangling and observing
-steps over an initial state. It samples trials on fresh universes, or forces
-its observations onto chosen outcomes and multiplies the step-by-step branch
-probabilities (the chain rule an observer lives). Two independent routes
-give the same joint: ``sequential_joint_distribution`` walks the engine that
-way, and ``born_joint_distribution`` never touches it, summing the squared
-moduli of the global state's terms under their outcome combinations. Their
-agreement is the oracle check for the whole branching machinery.
+A ``Schedule`` is one observer's fixed program over an initial state, and
+``Schedule.run`` is the one interpreter of such programs. It has three
+kinds of step:
+
+- ``Entangle(system_obs, pointer, correlation)`` premeasures a pointer
+  (``Universe.entangle_step``); for the observer it is entanglement, not a
+  result;
+- ``Observe(obs, t_happened=None)`` measures ``obs``, and a reply is an
+  ``Observe`` of the partner's record. ``t_happened`` dates the fact it
+  records, never after the clock, as ``Universe.observe`` requires;
+- ``Advance(to)`` moves the clock forward (``Universe.advance_clock``).
+
+A schedule samples trials on fresh universes, or forces its observations
+onto chosen outcomes and multiplies the step-by-step branch probabilities
+(the chain rule an observer lives); clock advances and dates change neither
+the draws nor the weights. Two independent routes give the same joint:
+``sequential_joint_distribution`` walks the engine that way, and
+``born_joint_distribution`` never touches it, summing the squared moduli of
+the global state's terms under their outcome combinations. Their agreement
+is the oracle check for the whole branching machinery.
 
 ``counts``, ``joint`` and ``sequential_joint_distribution`` each pass one
 engine answer table into every universe they build, so their trials and
@@ -34,9 +46,17 @@ class Entangle(NamedTuple):
 
 
 class Observe(NamedTuple):
-    """Measure ``obs``; a reply is an ``Observe`` of the partner's record."""
+    """Measure ``obs``, dating its fact ``t_happened`` (default: now); a
+    reply is an ``Observe`` of the partner's record."""
 
     obs: Observable
+    t_happened: int | None = None
+
+
+class Advance(NamedTuple):
+    """Move the clock forward to ``to`` (``Universe.advance_clock``)."""
+
+    to: int
 
 
 def _combinations(observables: Sequence[Observable]):
@@ -45,10 +65,11 @@ def _combinations(observables: Sequence[Observable]):
 
 @dataclass(frozen=True)
 class Schedule:
-    """Entangle and observe steps over one initial state, one observer."""
+    """Entangle, observe and advance steps over one initial state, one
+    observer."""
 
     initial: StateVector
-    steps: tuple[Entangle | Observe, ...]
+    steps: tuple[Entangle | Observe | Advance, ...]
 
     def _observables(self) -> list[Observable]:
         return [step.obs for step in self.steps if isinstance(step, Observe)]
@@ -62,9 +83,11 @@ class Schedule:
         outcomes = []
         for step in self.steps:
             if isinstance(step, Observe):
-                outcomes.append(universe.observe(observer, step.obs, rng))
-            else:
+                outcomes.append(universe.observe(observer, step.obs, rng, step.t_happened))
+            elif isinstance(step, Entangle):
                 universe.entangle_step(*step)
+            else:
+                universe.advance_clock(step.to)
         return universe, observer, tuple(outcomes)
 
     def counts(self, n: int, rng) -> dict[tuple[str, ...], int]:
@@ -87,16 +110,18 @@ class Schedule:
         todo = iter(outcomes)
         p = 1.0
         for step in self.steps:
-            if not isinstance(step, Observe):
+            if isinstance(step, Entangle):
                 universe.entangle_step(*step)
-                continue
-            outcome = next(todo, None)
-            if outcome is None:
-                break
-            p *= universe.branch_probabilities(observer, step.obs)[outcome]
-            if p <= 0.0:
-                return universe, observer, 0.0
-            force_observe(universe, observer, step.obs, outcome)
+            elif isinstance(step, Advance):
+                universe.advance_clock(step.to)
+            else:
+                outcome = next(todo, None)
+                if outcome is None:
+                    break
+                p *= universe.branch_probabilities(observer, step.obs)[outcome]
+                if p <= 0.0:
+                    return universe, observer, 0.0
+                force_observe(universe, observer, step.obs, outcome, t_happened=step.t_happened)
         return universe, observer, p
 
     def joint(self) -> dict[tuple[str, ...], float]:

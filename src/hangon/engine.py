@@ -44,6 +44,7 @@ seeds parallelize freely.
 from __future__ import annotations
 
 import json
+import operator
 from typing import Mapping, NamedTuple
 
 from .errors import AllOutcomesForbidden, DuplicateObserver, EmptyBranch, PointerNotReady, UnknownOutcome
@@ -227,8 +228,11 @@ class Universe:
         return handle
 
     def advance_clock(self, to: int) -> None:
-        """Fast-forward the logical clock (narratives supply their own times)."""
-        t = int(to)
+        """Fast-forward the logical clock (narratives supply their own times).
+
+        Times are integers: a float or a string raises TypeError, and an
+        earlier time raises ValueError, both before the clock moves."""
+        t = operator.index(to)
         if t < self._clock:
             raise ValueError(f"clock cannot move backwards ({t} < {self._clock})")
         self._clock = t
@@ -345,11 +349,12 @@ class Universe:
 
         ``t_happened`` dates the recorded fact; it defaults to now. A fact
         becomes determined only by this measurement, so a date later than now
-        raises ValueError before anything is drawn or written. The global
-        state is untouched.
+        raises ValueError, and a date that is not an integer raises
+        TypeError, before anything is drawn or written. The global state is
+        untouched.
         """
         if t_happened is not None:
-            t_happened = int(t_happened)
+            t_happened = operator.index(t_happened)
             if t_happened > self._clock:
                 raise ValueError(f"t_happened={t_happened} is after its determination at t={self._clock}")
         probs = self._class_weights(observer, obs)
@@ -398,7 +403,8 @@ class Universe:
 
 
 def create_universe(initial: StateVector) -> Universe:
-    """A universe whose branch tree holds only the root, at clock 0."""
+    """A universe whose branch tree holds only the root, at clock 0; equal
+    to ``Universe(initial)``."""
     return Universe(initial)
 
 
@@ -407,13 +413,16 @@ def force_observe(
     observer: ObserverHandle,
     obs: Observable,
     outcome: str,
+    *,
+    t_happened: int | None = None,
 ) -> float:
     """Extend the observer's path onto a chosen outcome (analysis hook).
 
     Steers ``observe`` by feeding it the uniform draw that lands inside the
-    chosen outcome's probability band, so the real sampling path runs.
-    Returns the probability the outcome had. Forcing a zero-probability
-    outcome raises EmptyBranch: nothing can hang on to an unsupported branch.
+    chosen outcome's probability band, so the real sampling path runs; it
+    passes ``t_happened`` on to ``observe``. Returns the probability the
+    outcome had. Forcing a zero-probability outcome raises EmptyBranch:
+    nothing can hang on to an unsupported branch.
     """
     probs = universe._class_weights(observer, obs)
     if outcome not in probs:
@@ -428,6 +437,6 @@ def force_observe(
             break
         if probs[cls] > 0.0:
             acc += probs[cls]
-    got = universe.observe(observer, obs, FixedStream([(acc + p / 2.0) / total]))
+    got = universe.observe(observer, obs, FixedStream([(acc + p / 2.0) / total]), t_happened)
     assert got == outcome
     return p

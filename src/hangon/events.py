@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import json
+import operator
 from dataclasses import asdict, dataclass
 
 from .errors import OutOfOrderDetermination
@@ -70,8 +71,9 @@ class EventLedger:
         return tuple(EventRecord(p, t, observer) for p, t in self._records)
 
     def record(self, proposition: Proposition, t_determined: int) -> None:
-        """Append one determination; determination times must not decrease."""
-        t = int(t_determined)
+        """Append one determination; determination times are integers and
+        must not decrease."""
+        t = operator.index(t_determined)
         records = self._records
         if records and t < records[-1][1]:
             raise OutOfOrderDetermination(f"t_determined {t} precedes last recorded {records[-1][1]}")

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from ..analysis import Entangle, Observe, Schedule
-from ..engine import Universe, create_universe
+from ..engine import Universe
 from ..errors import ConfigError, SimulationError
 from ..rng import RngStream
 from ..states import Observable, StateVector, Subsystem, label_observable, make_state, tensor
@@ -45,7 +45,7 @@ def singlet_state() -> StateVector:
 def build_epr_universe(*, with_record: bool = False) -> Universe:
     """Universe holding the singlet; optionally with the partner's
     still-ready record subsystem attached."""
-    return create_universe(_singlet_with_record() if with_record else singlet_state())
+    return Universe(_singlet_with_record() if with_record else singlet_state())
 
 
 def _singlet_with_record() -> StateVector:

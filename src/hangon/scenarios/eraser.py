@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine import Universe, create_universe
+from ..engine import Universe
 from ..errors import ConfigError
 from ..rng import RngStream, search_sorted
 from ..states import Observable, StateVector, Subsystem, label_observable, make_state, tensor
@@ -99,7 +99,7 @@ def build_eraser_universe(bs_present: bool, *, record: bool = False) -> Universe
     state = eraser_state(bs_present)
     if record:
         state = tensor(state, make_state([_SIGNAL_RECORD], [(("ready",), 1.0)]))
-    return create_universe(state)
+    return Universe(state)
 
 
 def detector_observable() -> Observable:

@@ -10,15 +10,20 @@ from Monday noon on.
 The eraser variant plays the same game with the four-detector state: the
 signal photon's record is undetermined for the observer who measured the
 idler until she asks for it.
+
+Each story is one tuple of ``Schedule`` steps: clock advances, entangling
+steps, and observations, the later ones dated back to the earlier time.
+``Schedule.run`` plays it on a fresh universe with the seed's stream.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine import Universe, create_universe
+from ..analysis import Advance, Entangle, Observe, Schedule
+from ..engine import Universe
 from ..events import EventLedger, Proposition
 from ..rng import RngStream
-from ..states import Subsystem, label_observable, make_state, tensor
+from ..states import Subsystem, label_observable, make_state
 from .eraser import build_eraser_universe, detector_observable, path_observable
 
 SUNDAY_ELEVEN = 10
@@ -48,30 +53,24 @@ def run_needle_narrative(seed: int) -> NeedleNarrative:
     spin = Subsystem("spin", ("+", "-"))
     needle = Subsystem("needle", ("ready", "up", "down"))
     watcher = Subsystem("watcher", ("ready", "saw_up", "saw_down"))
-    state = make_state([spin], [(("+",), 0.6), (("-",), 0.8)])
-    state = tensor(state, make_state([needle], [(("ready",), 1.0)]))
-    state = tensor(state, make_state([watcher], [(("ready",), 1.0)]))
-    u = create_universe(state)
-    alice = u.register_observer("alice")
-    rng = RngStream(seed)
-
+    state = make_state([spin, needle, watcher], [(("+", "ready", "ready"), 0.6), (("-", "ready", "ready"), 0.8)])
     spin_obs = label_observable(spin, name="spin")
     needle_obs = label_observable(needle, name="needle")
-    watcher_obs = label_observable(watcher, name="watcher_record")
-
-    # Sunday at eleven: apparatus interacts, the other party looks. For the
-    # narrating observer these produce entanglement, not results.
-    u.advance_clock(SUNDAY_ELEVEN)
-    u.entangle_step(spin_obs, needle, {"+": "up", "-": "down"})
-    u.entangle_step(needle_obs, watcher, {"up": "saw_up", "down": "saw_down"})
-
-    # Monday at noon: she asks. Hearing the answer hangs her onto one branch;
-    # the facts that branch dates to Sunday are then registered with their
-    # Sunday happening time.
-    u.advance_clock(MONDAY_NOON)
-    heard = u.communicate(alice, watcher_obs, rng)
-    needle_outcome = u.observe(alice, needle_obs, rng, t_happened=SUNDAY_ELEVEN)
-    spin_outcome = u.observe(alice, spin_obs, rng, t_happened=SUNDAY_ELEVEN)
+    steps = (
+        # Sunday at eleven: apparatus interacts, the other party looks. For
+        # the narrating observer these produce entanglement, not results.
+        Advance(SUNDAY_ELEVEN),
+        Entangle(spin_obs, needle, {"+": "up", "-": "down"}),
+        Entangle(needle_obs, watcher, {"up": "saw_up", "down": "saw_down"}),
+        # Monday at noon: she asks. Hearing the answer hangs her onto one
+        # branch; the facts that branch dates to Sunday are then registered
+        # with their Sunday happening time.
+        Advance(MONDAY_NOON),
+        Observe(label_observable(watcher, name="watcher_record")),
+        Observe(needle_obs, SUNDAY_ELEVEN),
+        Observe(spin_obs, SUNDAY_ELEVEN),
+    )
+    u, alice, (heard, needle_outcome, spin_outcome) = Schedule(state, steps).run(RngStream(seed))
     assert heard == ("saw_up" if needle_outcome == "up" else "saw_down")
     assert spin_outcome == ("+" if needle_outcome == "up" else "-")
 
@@ -113,20 +112,17 @@ def run_eraser_trace(seed: int, bs_present: bool = True) -> EraserTrace:
     step); the narrating observer measures her idler detector, then asks.
     Only upon asking does the early-dated record fact become determined.
     """
-    u = build_eraser_universe(bs_present, record=True)
-    alice = u.register_observer("alice")
-    rng = RngStream(seed)
-    record = u.subsystem("signal_record")
-    record_obs = label_observable(record, name="signal_record")
-
-    u.advance_clock(EARLY_SIGNAL_TIME)
-    u.entangle_step(path_observable(), record, {"U": "U", "L": "L"})
-
-    u.advance_clock(IDLER_TIME)
-    det = u.observe(alice, detector_observable(), rng)
-
-    u.advance_clock(ASK_TIME)
-    reply = u.communicate(alice, record_obs, rng, t_happened=EARLY_SIGNAL_TIME)
+    state = build_eraser_universe(bs_present, record=True).global_state
+    record = state.subsystem("signal_record")
+    steps = (
+        Advance(EARLY_SIGNAL_TIME),
+        Entangle(path_observable(), record, {"U": "U", "L": "L"}),
+        Advance(IDLER_TIME),
+        Observe(detector_observable()),
+        Advance(ASK_TIME),
+        Observe(label_observable(record, name="signal_record"), EARLY_SIGNAL_TIME),
+    )
+    u, alice, (det, reply) = Schedule(state, steps).run(RngStream(seed))
 
     return EraserTrace(
         universe=u,
@@ -140,8 +136,5 @@ def run_eraser_trace(seed: int, bs_present: bool = True) -> EraserTrace:
 
 
 def run_empty_trace() -> Universe:
-    """A root-only universe: no observations, empty trace."""
-    sub = Subsystem("system", ("0", "1"))
-    u = create_universe(make_state([sub], [(("0",), 1.0)]))
-    u.register_observer("alice")
-    return u
+    """A root-only universe: no observer, no observations, empty trace."""
+    return Universe(make_state([Subsystem("system", ("0", "1"))], [(("0",), 1.0)]))

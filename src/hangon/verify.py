@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .analysis import (
+    Advance,
     Entangle,
     Observe,
     Schedule,
@@ -26,7 +27,7 @@ from .analysis import (
     l1_distance,
     sequential_joint_distribution,
 )
-from .engine import _AnswerTable, create_universe
+from .engine import _AnswerTable
 from .events import Proposition, Truth
 from .rng import RngStream
 from .states import (
@@ -428,12 +429,11 @@ def _eraser_asking(bs: bool) -> tuple[Schedule, Observable]:
 
 
 def _conflict_trial(
-    schedule: Schedule, record_obs: Observable, seed: int, answers: _AnswerTable | None = None
+    schedule: Schedule, record_obs: Observable, rng: RngStream, answers: _AnswerTable | None = None
 ) -> tuple[tuple[str, ...], str, int]:
     """Run the schedule, ask for the record, then check the reply against
     the asker's whole path. Returns the sampled outcomes, the reply and the
     number of violations."""
-    rng = RngStream(seed)
     u, asker, outcomes = schedule.run(rng, _answers=answers)
     prior = asker.path_selectors()
     pre_probs = u.branch_probabilities(asker, record_obs)
@@ -458,13 +458,15 @@ def _conflict_kinds() -> tuple[tuple[Schedule, Observable], ...]:
 def check_no_conflict(seed: int, fast: bool) -> CheckResult:
     n_trials = 1_000 if fast else 10_000
     kinds = _conflict_kinds()
-    # Each trial runs on its own universe and stream; the four schedules
-    # share one answer table, so each branch is premeasured and projected once.
+    # Each trial runs on its own universe; the trials draw from one stream in
+    # turn, and the four schedules share one answer table, so each branch is
+    # premeasured and projected once.
+    rng = RngStream(seed)
     answers = _AnswerTable()
     violations = 0
     for i in range(n_trials):
         schedule, record_obs = kinds[i % 4]
-        violations += _conflict_trial(schedule, record_obs, seed * 2 + i, answers)[2]
+        violations += _conflict_trial(schedule, record_obs, rng, answers)[2]
     return CheckResult(
         "no_conflict",
         "a reply is always consistent with every selector already on the asker's path",
@@ -527,18 +529,20 @@ def check_oracle_equivalence(seed: int, fast: bool) -> CheckResult:
 # --- criterion 11 ---------------------------------------------------------
 
 
-def _random_ledger_schedule(seed: int) -> int:
-    """One random observation schedule; returns truth monotonicity violations."""
-    rng = RngStream(seed)
+def _random_ledger_schedule(rng: RngStream) -> int:
+    """One random observation schedule, drawn whole and then run; returns
+    truth monotonicity violations."""
     n_labels = 2 + int(rng.random() * 2)
     subs = [Subsystem(f"s{i}", tuple(f"l{j}" for j in range(n_labels))) for i in range(2)]
-    u = create_universe(_random_state(rng, subs))
-    o = u.register_observer("alice")
+    state = _random_state(rng, subs)
+    steps, clock = [], 0
     for _ in range(5):
-        u.advance_clock(u.clock + int(rng.random() * 4))
+        clock += int(rng.random() * 4)
         sub = subs[int(rng.random() * 2)]
-        t_hap = int(rng.random() * (u.clock + 1))  # never after its determination
-        u.observe(o, label_observable(sub), rng, t_happened=t_hap)
+        t_hap = int(rng.random() * (clock + 1))  # never after its determination
+        steps += (Advance(clock), Observe(label_observable(sub), t_hap))
+        clock += 1  # an observation takes one tick
+    u, o, _ = Schedule(state, tuple(steps)).run(rng)
     horizon = u.clock + 2
     violations = 0
     slots = {(r.proposition.subsystem, r.proposition.t_happened) for r in o.ledger.records}
@@ -565,9 +569,10 @@ def check_event_ledger(seed: int, fast: bool) -> CheckResult:
         for t in range(story.t_complete, story.t_complete + 20)
     )
     n_schedules = 100 if fast else 1_000
+    rng = RngStream(seed)
     violations = 0
-    for i in range(n_schedules):
-        violations += _random_ledger_schedule(seed * 3 + i)
+    for _ in range(n_schedules):
+        violations += _random_ledger_schedule(rng)
     ok = before_ok and after_ok and violations == 0
     return CheckResult(
         "event_ledger",

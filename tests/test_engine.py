@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -352,6 +353,36 @@ class TestRefusedSteps:
         rec = o.ledger.records[-1]
         assert rec.t_determined == rec.proposition.t_happened == t
         assert reply == rec.proposition.outcome
+
+    def test_times_that_are_not_integers_are_refused(self):
+        # Before the check, advance_clock(7.9) set the clock to 7 and a fact
+        # dated 2.9 was recorded as happening at 2.
+        u = singlet_universe(with_bob=True)
+        u.entangle_step(B_SPIN, BOB, {"+": "+", "-": "-"})
+        o = u.register_observer("alice")
+        rng = RngStream(3)
+        u.advance_clock(4)
+        u.observe(o, A_SPIN, rng)
+        before = _snapshot(u, [o])
+        reference = RngStream(3)
+        reference.random()
+        for bad in (7.9, 3.0, "3", float("nan")):
+            with pytest.raises(TypeError):
+                u.advance_clock(bad)
+            for ask, obs in ((u.observe, B_SPIN), (u.communicate, BOB_RECORD)):
+                with pytest.raises(TypeError):
+                    ask(o, obs, rng, t_happened=bad)
+            with pytest.raises(TypeError):
+                o.ledger.record(Proposition("A", "+", 1), bad)
+        assert _snapshot(u, [o]) == before
+        # No draw was consumed: the stream is where one observation left it.
+        assert rng.random() == reference.random()
+        # Numpy integers are integers, and they are stored as Python ints.
+        u.advance_clock(np.int64(8))
+        u.communicate(o, BOB_RECORD, rng, t_happened=np.int32(2))
+        rec = o.ledger.records[-1]
+        assert u.clock == 9 and type(rec.t_determined) is int and rec.t_determined == 8
+        assert type(rec.proposition.t_happened) is int and rec.proposition.t_happened == 2
 
     def test_pointer_an_observer_has_read_cannot_fire(self):
         # Before the guard, the firing succeeded and every later query of the

@@ -1,6 +1,8 @@
 """Past-event narratives: truth transitions and trace exports."""
 import json
 
+import pytest
+
 from hangon import Proposition, Truth
 from hangon.scenarios import run_empty_trace, run_eraser_trace, run_needle_narrative
 from hangon.scenarios.narrative import MONDAY_NOON, SUNDAY_ELEVEN
@@ -104,3 +106,24 @@ def test_needle_trace_golden():
         '{"observer":"alice","subsystem":"spin","outcome":"-",'
         '"t_happened":10,"t_determined":32}'
     )
+
+
+@pytest.mark.parametrize(
+    "bs_present, detector_probability", [(True, "0.2500000000000001"), (False, "0.25")]
+)
+def test_eraser_trace_golden(bs_present, detector_probability):
+    # Frozen bytes for one seed, with the beam splitter in and out.
+    story = run_eraser_trace(seed=5, bs_present=bs_present)
+    assert story.universe.trace_json() == (
+        '{"observer":"alice","clock":10,"observable":"detector",'
+        f'"outcome":"D3","probability":{detector_probability}}}\n'
+        '{"observer":"alice","clock":20,"observable":"signal_record",'
+        '"outcome":"L","probability":1.0}'
+    )
+    assert story.ledger.to_json_lines() == (
+        '{"observer":"alice","subsystem":"detector","outcome":"D3",'
+        '"t_happened":10,"t_determined":10}\n'
+        '{"observer":"alice","subsystem":"signal_record","outcome":"L",'
+        '"t_happened":0,"t_determined":20}'
+    )
+    assert story.universe.clock == 21

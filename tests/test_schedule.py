@@ -17,7 +17,7 @@ from hangon import (
     tensor,
     verify,
 )
-from hangon.analysis import Entangle, Observe, Schedule, sequential_joint_distribution
+from hangon.analysis import Advance, Entangle, Observe, Schedule, sequential_joint_distribution
 from hangon.engine import force_observe
 from hangon.errors import SimulationError
 from hangon.rng import RngStream
@@ -213,9 +213,10 @@ N_POINTERS = 3
 @st.composite
 def _schedules(draw):
     """A random 2-3 subsystem state with ready pointers p0..p2, and 1-7
-    entangle and observe steps over label and degenerate observables. Only
-    fired pointers are observed: a "ready" selector loses its support once
-    its pointer fires."""
+    entangle and observe steps over label and degenerate observables, each
+    maybe after a clock advance. Only fired pointers are observed: a "ready"
+    selector loses its support once its pointer fires. An observation may
+    date its fact to any time up to the clock."""
     subs = [
         Subsystem(f"s{i}", tuple(f"l{j}" for j in range(draw(st.integers(2, 3)))))
         for i in range(draw(st.integers(2, 3)))
@@ -229,8 +230,11 @@ def _schedules(draw):
     for ptr in pointers:
         state = tensor(state, make_state([ptr], [(("ready",), 1.0)]))
     pool = {(sub.name, deg): _observable(sub, deg) for sub in subs + pointers for deg in (False, True)}
-    steps, fired = [], 0
+    steps, fired, clock = [], 0, 0
     for _ in range(draw(st.integers(1, 7), label="steps")):
+        if draw(st.booleans(), label="advance"):
+            clock += draw(st.integers(0, 3), label="ahead")
+            steps.append(Advance(clock))
         if fired < N_POINTERS and draw(st.booleans(), label="entangle"):
             system = pool[draw(st.sampled_from(subs)).name, draw(st.booleans())]
             correlation = {c: f"r{j}" for j, c in enumerate(system.class_names)}
@@ -238,7 +242,9 @@ def _schedules(draw):
             fired += 1
         else:
             sub = draw(st.sampled_from(subs + pointers[:fired]), label="observed")
-            steps.append(Observe(pool[sub.name, draw(st.booleans(), label="degenerate")]))
+            obs = pool[sub.name, draw(st.booleans(), label="degenerate")]
+            steps.append(Observe(obs, draw(st.none() | st.integers(0, clock), label="dated")))
+        clock += 1  # entangle and observe steps take one tick each
     if not any(isinstance(step, Observe) for step in steps):
         steps.append(Observe(pool[subs[0].name, False]))
     return Schedule(state, tuple(steps))
@@ -285,6 +291,100 @@ def test_shared_answers_equal_universes_that_share_nothing(schedule, n, seed):
     assert list(sequential) == list(alone)
 
 
+def _engine_loop(schedule, rng):
+    """``Schedule.run`` spelled out by hand on a bare universe."""
+    u = create_universe(schedule.initial)
+    alice = u.register_observer("alice")
+    outcomes = []
+    for step in schedule.steps:
+        if isinstance(step, Advance):
+            u.advance_clock(step.to)
+        elif isinstance(step, Entangle):
+            u.entangle_step(step.system_obs, step.pointer, step.correlation)
+        else:
+            outcomes.append(u.observe(alice, step.obs, rng, t_happened=step.t_happened))
+    return u, alice, tuple(outcomes)
+
+
+def _untimed(schedule):
+    """The same schedule without its clock advances and dates."""
+    steps = tuple(
+        Observe(step.obs) if isinstance(step, Observe) else step
+        for step in schedule.steps
+        if not isinstance(step, Advance)
+    )
+    return Schedule(schedule.initial, steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_schedules(), st.integers(0, 2**32 - 1))
+def test_run_equals_the_hand_rolled_engine_loop(schedule, seed):
+    """Clock advances and dated observations run as the engine runs them:
+    the same outcomes, trace, ledger, clock and stream position."""
+    rng, reference = RngStream(seed), RngStream(seed)
+    universe, alice, outcomes = schedule.run(rng)
+    u, o, expected = _engine_loop(schedule, reference)
+    assert outcomes == expected
+    assert universe.trace_json() == u.trace_json()
+    assert alice.ledger.to_json_lines() == o.ledger.to_json_lines()
+    assert universe.clock == u.clock
+    assert rng.random() == reference.random()
+    # A walk forced onto the sampled outcomes retraces the run.
+    walked, forced, p = schedule.walk(outcomes)
+    assert p > 0.0
+    assert walked.trace_json() == universe.trace_json()
+    assert forced.ledger.to_json_lines() == alice.ledger.to_json_lines()
+    assert walked.clock == universe.clock
+
+
+@settings(max_examples=40, deadline=None)
+@given(_schedules(), st.integers(1, 20), st.integers(0, 2**32 - 1))
+def test_clock_advances_and_dates_change_no_weight_or_draw(schedule, n, seed):
+    """``walk``, ``joint`` and ``counts`` equal those of the schedule with
+    its advances and dates removed."""
+    untimed = _untimed(schedule)
+    for timed, plain in (
+        (schedule.counts(n, RngStream(seed)), untimed.counts(n, RngStream(seed))),
+        (schedule.joint(), untimed.joint()),
+    ):
+        assert timed == plain
+        assert list(timed) == list(plain)
+    observables = [step.obs for step in schedule.steps if isinstance(step, Observe)]
+    combos = itertools.product(*(o.class_names for o in observables))
+    for combo in itertools.chain([schedule.run(RngStream(seed))[2]], itertools.islice(combos, 64)):
+        for k in range(len(combo) + 1):
+            _, timed_observer, p = schedule.walk(combo[:k])
+            _, observer, q = untimed.walk(combo[:k])
+            assert p == q
+            assert timed_observer.path_selectors() == observer.path_selectors()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_schedules(), st.data(), st.integers(0, 2**32 - 1))
+def test_a_future_dated_observation_is_refused_as_the_engine_refuses_it(schedule, data, seed):
+    """An ``Observe`` dated after the clock raises the engine's ValueError."""
+    i = data.draw(st.integers(0, len(schedule.steps)), label="at")
+    clock = 0
+    for step in schedule.steps[:i]:
+        clock = step.to if isinstance(step, Advance) else clock + 1
+    late = Observe(label_observable(schedule.initial.subsystems[0]), clock + data.draw(st.integers(1, 5)))
+    steps = schedule.steps[:i] + (late,) + schedule.steps[i:]
+    bad = Schedule(schedule.initial, steps)
+    with pytest.raises(ValueError, match="t_happened") as from_run:
+        bad.run(RngStream(seed))
+    with pytest.raises(ValueError, match="t_happened") as from_engine:
+        _engine_loop(bad, RngStream(seed))
+    assert str(from_run.value) == str(from_engine.value)
+
+
+def test_steps_with_times_that_are_not_integers_are_refused():
+    schedule = partial_pair_schedule()
+    obs = schedule.steps[0].obs
+    for steps in ((Advance(2.5),), (Advance(3), Observe(obs, 1.0))):
+        with pytest.raises(TypeError):
+            Schedule(schedule.initial, steps).run(RngStream(0))
+
+
 def test_no_conflict_trials_sample_the_same_with_a_shared_answer_table():
     """``check_no_conflict`` runs every trial against one answer table; each
     trial's path, reply and violation count equal those of a trial on a
@@ -292,8 +392,8 @@ def test_no_conflict_trials_sample_the_same_with_a_shared_answer_table():
     answers = engine._AnswerTable()
     for schedule, record_obs in verify._conflict_kinds():
         for seed in range(200):
-            alone = verify._conflict_trial(schedule, record_obs, seed)
-            shared = verify._conflict_trial(schedule, record_obs, seed, answers)
+            alone = verify._conflict_trial(schedule, record_obs, RngStream(seed))
+            shared = verify._conflict_trial(schedule, record_obs, RngStream(seed), answers)
             assert shared == alone
 
 
