@@ -185,7 +185,8 @@ class Universe:
     """
 
     def __init__(self, initial: StateVector, *, _answers: _AnswerTable | None = None):
-        if abs(initial.norm_squared() - 1.0) > NORM_TOL:
+        # Written so that a NaN norm fails it too.
+        if not abs(initial.norm_squared() - 1.0) <= NORM_TOL:
             raise ValueError("initial global state must be normalized")
         self._answers = _answers
         self._state = initial
@@ -359,7 +360,7 @@ class Universe:
                 raise ValueError(f"t_happened={t_happened} is after its determination at t={self._clock}")
         probs = self._class_weights(observer, obs)
         total = sum(probs.values())
-        if total <= _FORBIDDEN_TOL:
+        if not total > _FORBIDDEN_TOL:  # a NaN total fails too
             raise AllOutcomesForbidden(f"no outcome of {obs.name!r} has support in this branch")
         u = rng.random() * total
         acc = 0.0

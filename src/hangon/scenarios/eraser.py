@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..analysis import Entangle, Observe, Schedule
 from ..engine import Universe
 from ..errors import ConfigError
 from ..rng import RngStream, search_sorted
@@ -93,13 +94,14 @@ def eraser_state(bs_present: bool) -> StateVector:
     return make_state([_DETECTOR, _PATH], [((d, p), a) for (d, p), a in amps.items()])
 
 
+def _eraser_state_with_record(bs_present: bool) -> StateVector:
+    return tensor(eraser_state(bs_present), make_state([_SIGNAL_RECORD], [(("ready",), 1.0)]))
+
+
 def build_eraser_universe(bs_present: bool, *, record: bool = False) -> Universe:
     """Universe over the discrete eraser state; optionally with a record
     pointer subsystem for the observer who measured the signal side."""
-    state = eraser_state(bs_present)
-    if record:
-        state = tensor(state, make_state([_SIGNAL_RECORD], [(("ready",), 1.0)]))
-    return Universe(state)
+    return Universe(_eraser_state_with_record(bs_present) if record else eraser_state(bs_present))
 
 
 def detector_observable() -> Observable:
@@ -108,6 +110,14 @@ def detector_observable() -> Observable:
 
 def path_observable() -> Observable:
     return label_observable(_PATH, name="path")
+
+
+def eraser_schedule(bs_present: bool) -> Schedule:
+    """The asker reads an idler detector and then asks for the signal's
+    record, which an entangling step has correlated with the slit path."""
+    record = Entangle(path_observable(), _SIGNAL_RECORD, {"U": "U", "L": "L"})
+    ask = Observe(label_observable(_SIGNAL_RECORD, name="signal_record"))
+    return Schedule(_eraser_state_with_record(bs_present), (record, Observe(detector_observable()), ask))
 
 
 def slit_mode_vectors(g: SlitGeometry) -> tuple[np.ndarray, np.ndarray]:

@@ -101,23 +101,57 @@ def default_geometry(bins: int = 512) -> SlitGeometry:
     return geometry_from_config({"bins": bins})
 
 
+def _config_number(key: str, value) -> float:
+    """``value`` as a float if it is a finite real number (a bool is not)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise ValueError(f"field 'geometry.{key}': expected a finite number, got {value!r}")
+
+
 def geometry_from_config(cfg: dict) -> SlitGeometry:
+    """The geometry a config such as ``SlitGeometry.to_config()`` states,
+    with the documented default for each field it leaves out.
+
+    Numbers must be finite reals, points arrays of two of them, and ``bins``
+    an integer of at least 2. Anything else, a field that ``to_config`` does
+    not write included, raises ValueError naming the field as
+    ``'geometry.<key>'``.
+    """
     bins = cfg.get("bins", 512)
-    lo = float(cfg.get("screen_min", -30.0))
-    hi = float(cfg.get("screen_max", 30.0))
     # Checked before np.linspace, which warns on a non-finite end or span.
     if isinstance(bins, bool) or not isinstance(bins, numbers.Integral) or bins < 2:
-        raise ValueError(f"bins must be an integer of at least 2, got {bins!r}")
-    if not all(map(math.isfinite, (lo, hi, hi - lo))):
-        raise ValueError("screen_min, screen_max and the span between them must be finite")
-    return SlitGeometry(
-        slit_upper=tuple(cfg.get("slit_upper", (0.5, 0.0))),
-        slit_lower=tuple(cfg.get("slit_lower", (-0.5, 0.0))),
-        wavenumber=float(cfg.get("wavenumber", 2.0 * math.pi / 0.05)),
-        screen_distance=float(cfg.get("screen_distance", 100.0)),
+        raise ValueError(f"field 'geometry.bins': bins must be an integer of at least 2, got {bins!r}")
+
+    def number(key: str, default: float) -> float:
+        return _config_number(key, cfg.get(key, default))
+
+    def point(key: str, default: tuple[float, float]) -> tuple[float, float]:
+        value = cfg.get(key, default)
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ValueError(f"field 'geometry.{key}': expected an array of 2 numbers, got {value!r}")
+        return (_config_number(key, value[0]), _config_number(key, value[1]))
+
+    lo, hi = number("screen_min", -30.0), number("screen_max", 30.0)
+    if not math.isfinite(hi - lo):
+        raise ValueError(
+            f"fields 'geometry.screen_min' and 'geometry.screen_max': the span from {lo!r} to {hi!r} must be finite"
+        )
+    g = SlitGeometry(
+        slit_upper=point("slit_upper", (0.5, 0.0)),
+        slit_lower=point("slit_lower", (-0.5, 0.0)),
+        wavenumber=number("wavenumber", 2.0 * math.pi / 0.05),
+        screen_distance=number("screen_distance", 100.0),
         screen_positions=np.linspace(lo, hi, bins),
-        detector_position=tuple(cfg.get("detector_position", (0.0, 200.0))),
+        detector_position=point("detector_position", (0.0, 200.0)),
     )
+    unknown = sorted(set(cfg) - set(g.to_config()))
+    if unknown:
+        raise ValueError(f"field 'geometry.{unknown[0]}': not a geometry field")
+    return g
 
 
 def slit_distances(g: SlitGeometry, x) -> tuple:

@@ -24,7 +24,7 @@ from ..engine import Universe
 from ..events import EventLedger, Proposition
 from ..rng import RngStream
 from ..states import Subsystem, label_observable, make_state
-from .eraser import build_eraser_universe, detector_observable, path_observable
+from .eraser import eraser_schedule
 
 SUNDAY_ELEVEN = 10
 MONDAY_NOON = 30
@@ -108,21 +108,22 @@ class EraserTrace:
 def run_eraser_trace(seed: int, bs_present: bool = True) -> EraserTrace:
     """Idler-first eraser narrative over the discrete state.
 
-    The signal side is recorded early by the other party (an entangling
+    ``eraser_schedule``'s three steps with the clock advanced before each:
+    the signal side is recorded early by the other party (an entangling
     step); the narrating observer measures her idler detector, then asks.
     Only upon asking does the early-dated record fact become determined.
     """
-    state = build_eraser_universe(bs_present, record=True).global_state
-    record = state.subsystem("signal_record")
+    asking = eraser_schedule(bs_present)
+    record, detector, ask = asking.steps
     steps = (
         Advance(EARLY_SIGNAL_TIME),
-        Entangle(path_observable(), record, {"U": "U", "L": "L"}),
+        record,
         Advance(IDLER_TIME),
-        Observe(detector_observable()),
+        detector,
         Advance(ASK_TIME),
-        Observe(label_observable(record, name="signal_record"), EARLY_SIGNAL_TIME),
+        Observe(ask.obs, EARLY_SIGNAL_TIME),
     )
-    u, alice, (det, reply) = Schedule(state, steps).run(RngStream(seed))
+    u, alice, (det, reply) = Schedule(asking.initial, steps).run(RngStream(seed))
 
     return EraserTrace(
         universe=u,

@@ -394,5 +394,5 @@ def state_from_canonical_json(text: str) -> StateVector:
     terms: dict[tuple[str, ...], complex] = {}
     for t in doc["terms"]:
         key = _validate_labels(subs, t["labels"])
-        terms[key] = complex(float(t["re"]), float(t["im"]))
+        terms[key] = _check_finite(complex(float(t["re"]), float(t["im"])))
     return StateVector(subs, terms)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .analysis import (
     Advance,
-    Entangle,
     Observe,
     Schedule,
     born_joint_distribution,
@@ -43,7 +42,6 @@ from .scenarios import (
     ORDERS,
     EraserConfig,
     analytic_joint_by_perspective,
-    build_eraser_universe,
     chi_square_two_sample,
     default_geometry,
     detector_envelope,
@@ -57,7 +55,6 @@ from .scenarios import (
     no_signaling_check,
     oscillation_fit,
     partial_pair_joint_distribution,
-    path_observable,
     run_epr,
     run_eraser,
     run_needle_narrative,
@@ -67,7 +64,8 @@ from .scenarios import (
     screen_density,
     screen_visibility,
 )
-from .scenarios.epr import epr_schedule, record_observable
+from .scenarios.epr import epr_schedule
+from .scenarios.eraser import eraser_schedule
 from .scenarios.fringes import histogram_from_positions
 from .scenarios.geometry import grid_extrema_indices, momentum_weights, random_geometry
 from .scenarios.narrative import MONDAY_NOON
@@ -419,15 +417,6 @@ def check_perspective_equivalence(seed: int, fast: bool) -> CheckResult:
 # --- criterion 9 ----------------------------------------------------------
 
 
-def _eraser_asking(bs: bool) -> tuple[Schedule, Observable]:
-    """The asker reads an idler detector; she will ask for the signal's record."""
-    state = build_eraser_universe(bs, record=True).global_state
-    record = state.subsystem("signal_record")
-    entangle = Entangle(path_observable(), record, {"U": "U", "L": "L"})
-    schedule = Schedule(state, (entangle, Observe(detector_observable())))
-    return schedule, label_observable(record, name="signal_record")
-
-
 def _conflict_trial(
     schedule: Schedule, record_obs: Observable, rng: RngStream, answers: _AnswerTable | None = None
 ) -> tuple[tuple[str, ...], str, int]:
@@ -449,10 +438,12 @@ def _conflict_trial(
 
 
 def _conflict_kinds() -> tuple[tuple[Schedule, Observable], ...]:
-    """The four (schedule, record observable) pairs that trials cycle through."""
+    """The four (schedule, record observable) pairs that trials cycle
+    through: each asking program up to its last step, which asks for the
+    record."""
     epr = epr_schedule("bob_record_first")
-    epr_asking = (Schedule(epr.initial, epr.steps[:-1]), record_observable())
-    return (epr_asking, epr_asking, _eraser_asking(True), _eraser_asking(False))
+    programs = (epr, epr, eraser_schedule(True), eraser_schedule(False))
+    return tuple((Schedule(p.initial, p.steps[:-1]), p.steps[-1].obs) for p in programs)
 
 
 def check_no_conflict(seed: int, fast: bool) -> CheckResult:

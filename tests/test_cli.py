@@ -267,6 +267,37 @@ class TestConfigErrors:
         assert "'bs_present'" in capsys.readouterr().err
         assert not (tmp_path / "eraser_report.json").exists()
 
+    @pytest.mark.parametrize(
+        "scenario, settings, name",
+        [
+            ("eraser", {"scenario": "eraser", "n_photons": 10}, "'n_photons'"),
+            ("epr", {"n": 100, "bins": 64}, "'bins'"),
+            ("eq9", {"n": 100, "order": "alice_first"}, "'order'"),
+            ("double-slit", {"n": 100, "perspective": "idler_first"}, "'perspective'"),
+        ],
+    )
+    def test_config_field_the_scenario_does_not_read(self, tmp_path, capsys, scenario, settings, name):
+        # A misspelt or foreign field used to be ignored: the first case ran
+        # the default 100,000 photons.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        out = tmp_path / "out"
+        code = run_cli("run", scenario, "--config", str(cfg), "--out-dir", str(out))
+        assert code == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["epr", "eq9", "eraser", "double-slit"])
+    def test_echoed_config_reads_every_field(self, tmp_path, scenario):
+        first = tmp_path / "first"
+        assert run_cli("run", scenario, "--n", "300", "--seed", "4", "--out-dir", str(first)) == 0
+        report = first / f"{scenario.replace('-', '_')}_report.json"
+        cfg = tmp_path / "echo.json"
+        cfg.write_text(json.dumps(json.loads(report.read_text())["config"]))
+        second = tmp_path / "second"
+        assert run_cli("run", scenario, "--config", str(cfg), "--out-dir", str(second)) == 0
+        assert report.read_bytes() == (second / report.name).read_bytes()
+
     @pytest.mark.parametrize("scenario", ["eraser", "double-slit"])
     @pytest.mark.parametrize("geometry", [[1, 2], "wide", 3])
     def test_geometry_not_an_object(self, tmp_path, capsys, scenario, geometry):

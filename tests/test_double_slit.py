@@ -228,12 +228,26 @@ class TestGeometryValues:
             ({"bins": math.inf}, "bins must be an integer"),
             ({"bins": 2.7}, "bins must be an integer"),
             ({"bins": 1}, "bins must be an integer"),
+            ({"slit_upper": "12"}, "'geometry.slit_upper'"),
+            ({"wavenumber": "125.6"}, "'geometry.wavenumber'"),
+            ({"screen_distance": True}, "'geometry.screen_distance'"),
+            ({"detector_position": [0.0]}, "'geometry.detector_position'"),
+            ({"slit_lower": [-0.5, False]}, "'geometry.slit_lower'"),
+            ({"screen_max": 10**400}, "'geometry.screen_max'"),
+            ({"bins": True}, "'geometry.bins'"),
+            ({"wavenumbr": 125.6}, "'geometry.wavenumbr'"),
         ],
-        ids=["inf-max", "nan-min", "span-overflows", "inf-bins", "fractional-bins", "one-bin"],
+        ids=[
+            "inf-max", "nan-min", "span-overflows", "inf-bins", "fractional-bins", "one-bin",
+            "string-point", "string-number", "bool-number", "short-point", "bool-coordinate",
+            "huge-int", "bool-bins", "unknown-field",
+        ],
     )
     def test_bad_screen_config_rejected_before_linspace(self, cfg, message):
-        # np.linspace used to warn on these, and then the screen was called
-        # "not strictly increasing" instead of non-finite.
+        # np.linspace used to warn on the first six, and then the screen was
+        # called "not strictly increasing" instead of non-finite. float()
+        # and tuple() used to accept the next three, "12" as the point
+        # (1.0, 2.0).
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match=message):

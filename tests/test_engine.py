@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hangon import (
+    AllOutcomesForbidden,
     DuplicateObserver,
     FixedStream,
     Observable,
@@ -35,6 +36,7 @@ from hangon.analysis import (
     sequential_joint_distribution,
 )
 from hangon.engine import force_observe
+from hangon.states import StateVector
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -95,6 +97,26 @@ class TestUniverseBasics:
         u.advance_clock(10)
         with pytest.raises(ValueError):
             u.advance_clock(5)
+
+    def test_nan_state_is_refused(self):
+        # abs(nan - 1.0) > NORM_TOL is False, so the check once let it in.
+        nan_state = StateVector((A,), {("+",): complex(math.nan, 0.0)})
+        with pytest.raises(ValueError, match="normalized"):
+            engine.Universe(nan_state)
+
+    def test_nan_weights_are_refused_before_the_draw(self, monkeypatch):
+        # total <= tolerance is False for a NaN total, and observe then
+        # failed on a bare assert after drawing.
+        u = singlet_universe()
+        o = u.register_observer("alice")
+        monkeypatch.setattr(
+            engine.Universe, "_class_weights", lambda self, observer, obs: dict.fromkeys(obs.class_names, math.nan)
+        )
+        rng = RngStream(3)
+        with pytest.raises(AllOutcomesForbidden):
+            u.observe(o, A_SPIN, rng)
+        assert not u.trace and not o.path_selectors() and len(o.ledger) == 0
+        assert rng.random() == RngStream(3).random()
 
 
 class TestEntangleStep:

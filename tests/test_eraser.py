@@ -35,6 +35,7 @@ from hangon.scenarios import (
     visibility,
     visibility_stderr,
 )
+from hangon.scenarios.eraser import eraser_schedule
 from hangon.scenarios.geometry import random_geometry
 
 EIGHTH = 1.0 / (2.0 * math.sqrt(2.0))
@@ -119,6 +120,20 @@ class TestHangOnBranches:
             assert u.branch_probabilities(o, path_observable())[path] == pytest.approx(
                 1.0, abs=1e-12
             )
+
+    @pytest.mark.parametrize("bs", [True, False])
+    def test_asking_for_the_record_gives_the_closed_form_joint(self, bs):
+        # Over (detector, reply): the reply is the path the detector's
+        # branch carries, and the record never answers "ready".
+        if bs:
+            expected = {("D1", "U"): 0.125, ("D1", "L"): 0.125, ("D2", "U"): 0.125,
+                        ("D2", "L"): 0.125, ("D3", "L"): 0.25, ("D4", "U"): 0.25}
+        else:
+            expected = {("D1", "U"): 0.25, ("D2", "L"): 0.25, ("D3", "L"): 0.25, ("D4", "U"): 0.25}
+        joint = eraser_schedule(bs).joint()
+        assert set(joint) == {(d, r) for d in DETECTORS for r in ("ready", "U", "L")}
+        for cell, p in joint.items():
+            assert p == pytest.approx(expected.get(cell, 0.0), abs=1e-12)
 
 
 class TestJointDensity:

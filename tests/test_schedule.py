@@ -397,6 +397,38 @@ def test_no_conflict_trials_sample_the_same_with_a_shared_answer_table():
             assert shared == alone
 
 
+# ``_conflict_trial(schedule, record_obs, RngStream(seed))`` for seeds 0-49,
+# one "outcomes>reply" token per seed, for each of ``_conflict_kinds()`` in
+# turn (EPR twice, then the eraser with and without the beam splitter). No
+# trial found a violation.
+_CONFLICT_GOLDEN = (
+    "+>- +>- +>- ->+ +>- ->+ ->+ ->+ ->+ +>- ->+ +>- ->+ ->+ ->+ ->+ +>- +>- ->+ +>- ->+ ->+ ->+ ->+ +>- "
+    "->+ ->+ +>- +>- +>- +>- +>- +>- +>- ->+ ->+ +>- ->+ ->+ +>- ->+ ->+ ->+ +>- ->+ +>- ->+ +>- ->+ +>-",
+    "+>- +>- +>- ->+ +>- ->+ ->+ ->+ ->+ +>- ->+ +>- ->+ ->+ ->+ ->+ +>- +>- ->+ +>- ->+ ->+ ->+ ->+ +>- "
+    "->+ ->+ +>- +>- +>- +>- +>- +>- +>- ->+ ->+ +>- ->+ ->+ +>- ->+ ->+ ->+ +>- ->+ +>- ->+ +>- ->+ +>-",
+    "D1>U D2>L D2>U D4>U D1>U D3>L D3>L D4>U D4>U D1>L D4>U D1>L D3>L D4>U D4>U D4>U D2>U D2>U D4>U D2>L "
+    "D4>U D4>U D3>L D4>U D1>L D3>L D3>L D2>U D2>L D2>L D1>U D2>L D2>U D2>U D3>L D4>U D2>L D4>U D3>L D2>U "
+    "D3>L D4>U D4>U D1>L D3>L D2>U D3>L D1>U D3>L D1>L",
+    "D1>U D2>L D2>L D4>U D1>U D3>L D3>L D4>U D4>U D1>U D4>U D1>U D3>L D4>U D4>U D4>U D2>L D2>L D4>U D2>L "
+    "D4>U D4>U D3>L D4>U D1>U D3>L D3>L D2>L D2>L D2>L D1>U D2>L D2>L D2>L D3>L D4>U D2>L D4>U D3>L D2>L "
+    "D3>L D4>U D4>U D1>U D3>L D2>L D3>L D1>U D3>L D1>U",
+)
+
+
+def test_conflict_trials_golden():
+    """Each no-conflict kind samples the literal outcomes and replies above,
+    however its schedule is put together."""
+    kinds = verify._conflict_kinds()
+    assert len(kinds) == len(_CONFLICT_GOLDEN)
+    for (schedule, record_obs), golden in zip(kinds, _CONFLICT_GOLDEN):
+        tokens = []
+        for seed in range(50):
+            outcomes, reply, violations = verify._conflict_trial(schedule, record_obs, RngStream(seed))
+            assert violations == 0
+            tokens.append("".join(outcomes) + ">" + reply)
+        assert " ".join(tokens) == golden
+
+
 def _live_states():
     gc.collect()
     return [o for o in gc.get_objects() if isinstance(o, StateVector)]

@@ -1,5 +1,6 @@
 """State algebra: construction, tensor, probabilities, projection,
 premeasurement, and the canonical JSON form."""
+import json
 import math
 
 import pytest
@@ -465,6 +466,15 @@ class TestCanonicalJson:
         s = singlet()
         again = state_from_canonical_json(to_canonical_json(s))
         assert again == s
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_amplitude_is_refused(self, part, value):
+        text = to_canonical_json(make_state([Subsystem("x", ("a", "b"))], [(("a",), 1.0)]))
+        doc = json.loads(text)
+        doc["terms"][0][part] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            state_from_canonical_json(json.dumps(doc))
 
     def test_term_ordering_is_canonical(self):
         sub = Subsystem("x", ("b", "a"))
