@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, NotFarField, SimulationError, SingularPoint
 from .scenarios import (
     DETECTORS,
     ORDERS,
@@ -83,27 +83,6 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _merged_settings(args, config: dict) -> dict:
-    """Flags override config-file entries; both override defaults."""
-    declared = config.get("scenario")
-    if declared is not None and declared != args.scenario:
-        raise ConfigError(
-            f"config file is for scenario {declared!r}, not {args.scenario!r}"
-        )
-    merged = dict(config)
-    for key in ("n", "seed", "bins"):
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    if getattr(args, "bs", None) is not None:
-        merged["bs_present"] = args.bs
-    for key in ("perspective", "order"):
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value.replace("-", "_")
-    return merged
-
-
 def _require_int(name: str, value, minimum: int) -> int:
     """``value`` if it is a JSON integer (a bool is not) of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -121,17 +100,16 @@ def _require_seed(value) -> int:
     return seed
 
 
-def _geometry(settings: dict):
+def _geometry(geo_cfg, given: dict):
     """Screen geometry from the ``geometry`` field, checked by
-    ``geometry_from_config``. A ``bins`` flag or top-level field must agree
-    with ``geometry.bins`` when both are given."""
-    geo_cfg = settings.get("geometry", {})
+    ``geometry_from_config``. A ``bins`` in ``given`` (a flag or a top-level
+    field) must agree with ``geometry.bins`` when both are given."""
     if not isinstance(geo_cfg, dict):
         raise ConfigError(f"field 'geometry': expected an object, got {geo_cfg!r}")
-    geo_cfg = dict(geo_cfg)
-    if "bins" in settings:
-        bins = _require_int("bins", settings["bins"], 2)
-        if geo_cfg.setdefault("bins", bins) != bins:
+    if "bins" in given:
+        bins = _require_int("bins", given["bins"], 2)
+        geo_cfg = {"bins": bins, **geo_cfg}
+        if geo_cfg["bins"] != bins:
             raise ConfigError(
                 f"field 'bins' is {bins} but field 'geometry.bins' is {geo_cfg['bins']!r}"
             )
@@ -139,6 +117,59 @@ def _geometry(settings: dict):
         return geometry_from_config(geo_cfg)
     except ValueError as e:
         raise ConfigError(str(e))
+
+
+# The fields each `run` scenario reads, with their defaults; ``bins`` and
+# ``geometry`` default to the geometry's own. A report echoes exactly these.
+_READS = {
+    "eraser": {
+        "bs_present": True, "perspective": "idler_first", "n": 100_000, "seed": 0,
+        "bins": None, "geometry": {},
+    },
+    "epr": {"order": "alice_first", "n": 10_000, "seed": 0},
+    "eq9": {"n": 30_000, "seed": 0},
+    "double-slit": {"n": 100_000, "seed": 0, "bins": None, "geometry": {}},
+}
+# The fields each `trace` story reads, with their defaults.
+_TRACE_READS = {"needle": {"seed": 0}, "eraser": {"seed": 0, "bs_present": True}, "empty": {}}
+# The field each flag sets, for `run` and `trace` alike.
+_FLAG_FIELDS = {
+    "bs": "bs_present", "perspective": "perspective", "order": "order",
+    "n": "n", "seed": "seed", "bins": "bins",
+}
+# The scenarios that write a counts file, in the format `--out` names.
+_COUNTS = ("epr", "eq9")
+
+
+def _settings(reads: dict, config: dict, args, reader: str) -> dict:
+    """The row ``reads``'s defaults, then the config file's fields, then the
+    flags given, checked. A field or flag outside the row is refused by
+    name: a flag as it was spelt."""
+    unread = sorted(set(config) - set(reads))
+    if unread:
+        raise ConfigError(f"field {unread[0]!r}: {reader} does not read it")
+    given = dict(config)
+    for flag, name in _FLAG_FIELDS.items():
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        if name not in reads:
+            spelt = "--no-bs" if value is False else f"--{flag}"
+            raise ConfigError(f"flag {spelt!r}: {reader} does not read it")
+        given[name] = value.replace("-", "_") if isinstance(value, str) else value
+    settings = {**reads, **given}
+    if "n" in settings:
+        _require_int("n", settings["n"], 1)
+    if "seed" in settings:
+        _require_seed(settings["seed"])
+    if not isinstance(settings.get("bs_present", False), bool):
+        raise ConfigError(
+            f"field 'bs_present': expected true or false, got {settings['bs_present']!r}"
+        )
+    if "geometry" in settings:
+        settings["geometry"] = _geometry(settings["geometry"], given)
+        settings["bins"] = len(settings["geometry"].screen_positions)
+    return settings
 
 
 def _write(path: Path, text: str) -> None:
@@ -156,35 +187,13 @@ def _histogram_csv(edges: np.ndarray, columns: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _counts_payload(counts: dict) -> dict:
-    return {f"{a}{b}": int(v) for (a, b), v in sorted(counts.items())}
+# Each scenario fills in its report from the checked settings and returns
+# the data files to write, by file name; cmd_run adds the report file.
 
 
-# Each scenario maps (settings, seed, counts format) to its report and the
-# data files to write, by file name; cmd_run adds the report file.
-
-
-def _run_eraser(settings: dict, seed: int, out_format: str) -> tuple[RunReport, dict]:
-    n = _require_int("n", settings.get("n", 100_000), 1)
-    geometry = _geometry(settings)
-    perspective = settings.get("perspective", "idler_first")
-    bs_present = settings.get("bs_present", True)
-    if not isinstance(bs_present, bool):
-        raise ConfigError(f"field 'bs_present': expected true or false, got {bs_present!r}")
-    run = run_eraser(EraserConfig(bs_present, perspective, n, geometry, seed))
-    geo_cfg = geometry.to_config()
-    report = RunReport(
-        scenario="eraser",
-        config={
-            "scenario": "eraser",
-            "bs_present": bs_present,
-            "perspective": perspective,
-            "n": n,
-            "seed": seed,
-            "bins": geo_cfg["bins"],
-            "geometry": geo_cfg,
-        },
-    )
+def _run_eraser(report: RunReport, s: dict, out_format: str) -> dict:
+    geometry = s["geometry"]
+    run = run_eraser(EraserConfig(s["bs_present"], s["perspective"], s["n"], geometry, s["seed"]))
     report.analytic = {
         "detector_marginals": {d: 0.25 for d in DETECTORS},
         "no_signaling_residual": no_signaling_check(geometry),
@@ -198,72 +207,56 @@ def _run_eraser(settings: dict, seed: int, out_format: str) -> tuple[RunReport, 
     report.add_check(
         "photon_conservation",
         "histogram totals equal the photon count",
-        run.histograms["total"].total == n,
+        run.histograms["total"].total == s["n"],
     )
     columns = {f"count_{d}": run.joint_counts[i] for i, d in enumerate(DETECTORS)}
     columns["count_total"] = run.joint_counts.sum(axis=0)
-    return report, {"eraser_hist.csv": _histogram_csv(geometry.bin_edges, columns)}
+    return {"eraser_hist.csv": _histogram_csv(geometry.bin_edges, columns)}
 
 
-def _counts_run(scenario: str, config: dict, run, out_format: str) -> tuple[RunReport, dict]:
-    """Report and counts file shared by the sampled pair scenarios."""
-    report = RunReport(scenario=scenario, config={"scenario": scenario, **config})
+def _counts_run(report: RunReport, run, out_format: str) -> dict:
+    """Report values and counts file shared by the sampled pair scenarios."""
     report.analytic = {f"{a}{b}": p for (a, b), p in sorted(run.analytic.items())}
-    counts = _counts_payload(run.counts)
+    counts = {f"{a}{b}": int(v) for (a, b), v in sorted(run.counts.items())}
     report.sampled = {"counts": counts}
     if out_format == "csv":
         payload = "outcome,count\n" + "".join(f"{k},{v}\n" for k, v in counts.items())
     else:
         payload = json.dumps(counts, sort_keys=True, indent=2) + "\n"
-    return report, {f"{scenario}_counts.{out_format}": payload}
+    return {f"{report.scenario}_counts.{out_format}": payload}
 
 
-def _run_epr(settings: dict, seed: int, out_format: str) -> tuple[RunReport, dict]:
-    n = _require_int("n", settings.get("n", 10_000), 1)
-    order = settings.get("order", "alice_first")
-    run = run_epr(order, n, seed)
-    report, files = _counts_run("epr", {"order": order, "n": n, "seed": seed}, run, out_format)
+def _run_epr(report: RunReport, s: dict, out_format: str) -> dict:
+    run = run_epr(s["order"], s["n"], s["seed"])
     report.add_check(
         "anticorrelation",
         "no same-sign joint outcomes in any run",
         run.same_sign_count == 0,
     )
-    return report, files
+    return _counts_run(report, run, out_format)
 
 
-def _run_eq9(settings: dict, seed: int, out_format: str) -> tuple[RunReport, dict]:
-    n = _require_int("n", settings.get("n", 30_000), 1)
-    run = run_partial_pair(n, seed)
-    report, files = _counts_run("eq9", {"n": n, "seed": seed}, run, out_format)
+def _run_eq9(report: RunReport, s: dict, out_format: str) -> dict:
+    run = run_partial_pair(s["n"], s["seed"])
     report.add_check(
         "empty_branch_never_fires",
         "the unsupported joint outcome (Y,b) never occurs",
         run.counts[("Y", "b")] == 0,
     )
-    return report, files
+    return _counts_run(report, run, out_format)
 
 
-def _run_double_slit(settings: dict, seed: int, out_format: str) -> tuple[RunReport, dict]:
-    n = _require_int("n", settings.get("n", 100_000), 1)
-    geometry = _geometry(settings)
-    hits = sample_screen_hits(geometry, n, RngStream(seed))
-    hist = histogram_from_positions(geometry, hits)
+def _run_double_slit(report: RunReport, s: dict, out_format: str) -> dict:
+    geometry = s["geometry"]
+    # The analytic values first, so a geometry they refuse is refused
+    # before anything is sampled.
     maxima, minima = fringe_extrema(geometry)
-    v_analytic, v_sampled, se = screen_visibility(
-        geometry, maxima, minima, screen_density(geometry), hist.counts
-    )
     p_up, p_low = momentum_detector_probabilities(geometry)
-    geo_cfg = geometry.to_config()
-    report = RunReport(
-        scenario="double-slit",
-        config={
-            "scenario": "double-slit",
-            "n": n,
-            "seed": seed,
-            "bins": geo_cfg["bins"],
-            "geometry": geo_cfg,
-        },
+    density = screen_density(geometry)
+    hist = histogram_from_positions(
+        geometry, sample_screen_hits(geometry, s["n"], RngStream(s["seed"]))
     )
+    v_analytic, v_sampled, se = screen_visibility(geometry, maxima, minima, density, hist.counts)
     report.analytic = {
         "visibility": v_analytic,
         "n_extrema": len(maxima) + len(minima),
@@ -276,7 +269,7 @@ def _run_double_slit(settings: dict, seed: int, out_format: str) -> tuple[RunRep
         abs(v_sampled - v_analytic) <= 3 * se,
     )
     csv = _histogram_csv(geometry.bin_edges, {"count": hist.counts})
-    return report, {"double_slit_hist.csv": csv}
+    return {"double_slit_hist.csv": csv}
 
 
 _SCENARIOS = {
@@ -288,15 +281,23 @@ _SCENARIOS = {
 
 
 def cmd_run(args) -> int:
+    # Everything the run reads is checked before anything is sampled or written.
     config = _load_config(args.config)
-    settings = _merged_settings(args, config)
-    seed = _require_seed(settings.get("seed", 0))
-    report, files = _SCENARIOS[args.scenario](settings, seed, args.out)
-    # A scenario echoes every field it reads; refuse the others before
-    # anything is written.
-    unread = sorted(set(config) - set(report.config))
-    if unread:
-        raise ConfigError(f"field {unread[0]!r}: scenario {args.scenario!r} does not read it")
+    declared = config.pop("scenario", args.scenario)
+    if declared != args.scenario:
+        raise ConfigError(f"config file is for scenario {declared!r}, not {args.scenario!r}")
+    reader = f"scenario {args.scenario!r}"
+    if args.out is not None and args.scenario not in _COUNTS:
+        raise ConfigError(f"flag '--out': {reader} does not read it")
+    settings = _settings(_READS[args.scenario], config, args, reader)
+    report = RunReport(scenario=args.scenario, config={"scenario": args.scenario, **settings})
+    if "geometry" in settings:
+        report.config["geometry"] = settings["geometry"].to_config()
+    try:
+        files = _SCENARIOS[args.scenario](report, settings, args.out or "json")
+    except (NotFarField, SingularPoint) as e:
+        # A geometry the scenario cannot use is a config error, not a failed check.
+        raise ConfigError(f"field 'geometry': {e}")
     files[f"{args.scenario.replace('-', '_')}_report.json"] = report.to_json() + "\n"
     for name, text in files.items():
         _write(Path(args.out_dir) / name, text)
@@ -313,14 +314,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    seed = _require_seed(args.seed)
+    s = _settings(_TRACE_READS[args.scenario], {}, args, f"trace story {args.scenario!r}")
     if args.scenario == "empty":
         universe, ledger = run_empty_trace(), ""
     else:
         if args.scenario == "needle":
-            story = run_needle_narrative(seed)
+            story = run_needle_narrative(s["seed"])
         else:
-            story = run_eraser_trace(seed, bs_present=args.bs if args.bs is not None else True)
+            story = run_eraser_trace(s["seed"], bs_present=s["bs_present"])
         universe, ledger = story.universe, story.ledger.to_json_lines()
     trace = universe.trace_json()
     payload = trace + ("\n" if trace else "")
@@ -351,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--n", type=int, default=None, help="number of runs/photons")
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--bins", type=int, default=None, help="screen bins")
-    run_p.add_argument("--out", choices=["csv", "json"], default="json",
-                       help="format of the counts artifact")
+    run_p.add_argument("--out", choices=["csv", "json"], default=None,
+                       help="format of the counts artifact (epr, eq9; default json)")
     run_p.add_argument("--config", default=None, help="JSON config file")
     run_p.add_argument("--out-dir", default=".", help="output directory")
     run_p.set_defaults(fn=cmd_run)
@@ -364,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.set_defaults(fn=cmd_verify)
 
     trace_p = sub.add_parser("trace", help="export a branch trace")
-    trace_p.add_argument("scenario", choices=["needle", "eraser", "empty"])
-    trace_p.add_argument("--seed", type=int, default=0)
+    trace_p.add_argument("scenario", choices=list(_TRACE_READS))
+    trace_p.add_argument("--seed", type=int, default=None)
     trace_p.add_argument("--bs", action=argparse.BooleanOptionalAction, default=None)
     trace_p.add_argument("--out", default=None, help="write the trace here")
     trace_p.set_defaults(fn=cmd_trace)

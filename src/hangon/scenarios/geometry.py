@@ -117,9 +117,10 @@ def geometry_from_config(cfg: dict) -> SlitGeometry:
     with the documented default for each field it leaves out.
 
     Numbers must be finite reals, points arrays of two of them, and ``bins``
-    an integer of at least 2. Anything else, a field that ``to_config`` does
-    not write included, raises ValueError naming the field as
-    ``'geometry.<key>'``.
+    an integer of at least 2; ``screen_min`` must be below ``screen_max``,
+    ``wavenumber`` positive and the slits apart. Anything else, a field that
+    ``to_config`` does not write included, raises ValueError naming the
+    field as ``'geometry.<key>'``.
     """
     bins = cfg.get("bins", 512)
     # Checked before np.linspace, which warns on a non-finite end or span.
@@ -136,14 +137,26 @@ def geometry_from_config(cfg: dict) -> SlitGeometry:
         return (_config_number(key, value[0]), _config_number(key, value[1]))
 
     lo, hi = number("screen_min", -30.0), number("screen_max", 30.0)
+    if not lo < hi:
+        raise ValueError(
+            f"fields 'geometry.screen_min' and 'geometry.screen_max': screen_min {lo!r} must be below screen_max {hi!r}"
+        )
     if not math.isfinite(hi - lo):
         raise ValueError(
             f"fields 'geometry.screen_min' and 'geometry.screen_max': the span from {lo!r} to {hi!r} must be finite"
         )
+    wavenumber = number("wavenumber", 2.0 * math.pi / 0.05)
+    if wavenumber <= 0:
+        raise ValueError(f"field 'geometry.wavenumber': must be positive, got {wavenumber!r}")
+    upper, lower = point("slit_upper", (0.5, 0.0)), point("slit_lower", (-0.5, 0.0))
+    if upper == lower:
+        raise ValueError(
+            f"fields 'geometry.slit_upper' and 'geometry.slit_lower': slits must be at distinct locations, got {list(upper)!r} for both"
+        )
     g = SlitGeometry(
-        slit_upper=point("slit_upper", (0.5, 0.0)),
-        slit_lower=point("slit_lower", (-0.5, 0.0)),
-        wavenumber=number("wavenumber", 2.0 * math.pi / 0.05),
+        slit_upper=upper,
+        slit_lower=lower,
+        wavenumber=wavenumber,
         screen_distance=number("screen_distance", 100.0),
         screen_positions=np.linspace(lo, hi, bins),
         detector_position=point("detector_position", (0.0, 200.0)),

@@ -212,8 +212,9 @@ class TestRunEprAndPair:
 )
 def test_every_scenario_value_has_its_dashed_flag(tmp_path, capsys, scenario, flag, key, values):
     """Each value of the scenario's tuple is one flag spelling, ``_`` read as ``-``."""
+    bins = ["--bins", "16"] if scenario == "eraser" else []  # epr reads no bins
     for value in values:
-        argv = ["run", scenario, flag, value.replace("_", "-"), "--n", "200", "--bins", "16"]
+        argv = ["run", scenario, flag, value.replace("_", "-"), "--n", "200", *bins]
         assert run_cli(*argv, "--out-dir", str(tmp_path)) == 0
         assert json.loads(capsys.readouterr().out)["config"][key] == value
     assert run_cli("run", scenario, flag, values[0]) == 2
@@ -342,6 +343,9 @@ class TestConfigErrors:
             ("double-slit", {"slit_lower": [-0.5, 0.0, 1.0]}, "'geometry.slit_lower'"),
             ("double-slit", {"slit_upper": [0.5, "0"]}, "'geometry.slit_upper'"),
             ("eraser", {"slit_upper": [0.5, float("nan")]}, "'geometry.slit_upper'"),
+            ("double-slit", {"screen_min": 5, "screen_max": -5}, "'geometry.screen_min'"),
+            ("eraser", {"wavenumber": -125.6}, "'geometry.wavenumber'"),
+            ("double-slit", {"slit_upper": [0, 0], "slit_lower": [0, 0]}, "'geometry.slit_upper'"),
         ],
     )
     def test_bad_geometry_value(self, tmp_path, capsys, scenario, geometry, name):
@@ -378,6 +382,132 @@ class TestConfigErrors:
 
     def test_unknown_scenario(self, capsys):
         assert run_cli("run", "teleporter") == 2
+
+
+# Each flag of `run` and the scenarios that read it.
+_RUN_FLAG_READERS = [
+    (["--bs"], {"eraser"}),
+    (["--no-bs"], {"eraser"}),
+    (["--perspective", "signal-first"], {"eraser"}),
+    (["--order", "bob-record-first"], {"epr"}),
+    (["--bins", "16"], {"eraser", "double-slit"}),
+    (["--out", "csv"], {"epr", "eq9"}),
+]
+_SCENARIO_NAMES = ["eraser", "epr", "eq9", "double-slit"]
+
+
+class TestUnreadInputs:
+    """A flag or config field that a scenario or trace story does not read
+    is refused by name before anything is sampled or written."""
+
+    @pytest.mark.parametrize(
+        "scenario, flag",
+        [
+            pytest.param(scenario, flag, id=f"{scenario}{flag[0]}")
+            for flag, readers in _RUN_FLAG_READERS
+            for scenario in _SCENARIO_NAMES
+            if scenario not in readers
+        ],
+    )
+    def test_run_flag_the_scenario_does_not_read(self, tmp_path, capsys, scenario, flag):
+        out = tmp_path / "out"
+        code = run_cli("run", scenario, *flag, "--n", "100", "--out-dir", str(out))
+        assert code == 2
+        assert f"'{flag[0]}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "story, flag",
+        [
+            ("needle", ["--bs"]),
+            ("needle", ["--no-bs"]),
+            ("empty", ["--bs"]),
+            ("empty", ["--no-bs"]),
+            ("empty", ["--seed", "5"]),
+        ],
+        ids=["needle-bs", "needle-no-bs", "empty-bs", "empty-no-bs", "empty-seed"],
+    )
+    def test_trace_flag_the_story_does_not_read(self, tmp_path, capsys, story, flag):
+        out = tmp_path / "trace.jsonl"
+        assert run_cli("trace", story, *flag, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert f"'{flag[0]}'" in captured.err and captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("scenario", _SCENARIO_NAMES)
+    def test_every_flag_a_scenario_reads_is_echoed(self, tmp_path, capsys, scenario):
+        # --bs and --no-bs set one field, so only --bs is given.
+        argv = [a for flag, readers in _RUN_FLAG_READERS
+                if scenario in readers and flag != ["--no-bs"] for a in flag]
+        assert run_cli("run", scenario, *argv, "--n", "300", "--seed", "2", "--out-dir", str(tmp_path)) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        geometry = config.pop("geometry", None)
+        assert (geometry is not None) == (scenario in ("eraser", "double-slit"))
+        assert config == {
+            "eraser": {"bs_present": True, "perspective": "signal_first", "bins": 16},
+            "epr": {"order": "bob_record_first"},
+            "eq9": {},
+            "double-slit": {"bins": 16},
+        }[scenario] | {"scenario": scenario, "n": 300, "seed": 2}
+
+    @pytest.mark.parametrize(
+        "settings, flags, name",
+        [
+            ({"n_photons": 10}, [], "'n_photons'"),
+            ({"n": 10}, ["--order", "alice-first"], "'--order'"),
+            ({"n": 10}, ["--out", "json"], "'--out'"),
+        ],
+        ids=["field", "flag", "out-flag"],
+    )
+    def test_refused_input_never_reaches_the_scenario(
+        self, tmp_path, monkeypatch, capsys, settings, flags, name
+    ):
+        def sampled(*args, **kwargs):
+            raise AssertionError("the eraser was sampled")
+
+        monkeypatch.setattr("hangon.cli.run_eraser", sampled)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        out = tmp_path / "out"
+        assert run_cli("run", "eraser", "--config", str(cfg), *flags, "--out-dir", str(out)) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestUnusableGeometry:
+    """A geometry that passes the config checks but that a scenario cannot
+    use is a config error (exit 2), not a failed check (exit 1)."""
+
+    @pytest.mark.parametrize(
+        "scenario, geometry, message",
+        [
+            ("double-slit", {"detector_position": [0, 20]}, "detector at distance 20"),
+            (
+                "double-slit",
+                {"screen_distance": 0.0, "screen_min": -0.5, "screen_max": 0.5, "bins": 5},
+                "coincides with a slit",
+            ),
+            (
+                "eraser",
+                {"screen_distance": 0.0, "screen_min": -0.5, "screen_max": 0.5, "bins": 5},
+                "coincides with a slit",
+            ),
+        ],
+        ids=["not-far-field", "double-slit-singular", "eraser-singular"],
+    )
+    def test_is_a_config_error(self, tmp_path, monkeypatch, capsys, scenario, geometry, message):
+        def sampled(*args, **kwargs):
+            raise AssertionError("the screen was sampled")
+
+        # The double-slit run refuses the geometry before it samples.
+        monkeypatch.setattr("hangon.cli.sample_screen_hits", sampled)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 100, "geometry": geometry}))
+        out = tmp_path / "out"
+        assert run_cli("run", scenario, "--config", str(cfg), "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: field 'geometry': ") and message in err
+        assert not out.exists()
 
 
 def test_cold_start_loads_no_scipy(tmp_path):

@@ -236,18 +236,23 @@ class TestGeometryValues:
             ({"screen_max": 10**400}, "'geometry.screen_max'"),
             ({"bins": True}, "'geometry.bins'"),
             ({"wavenumbr": 125.6}, "'geometry.wavenumbr'"),
+            ({"screen_min": 5, "screen_max": -5}, "'geometry.screen_min'.*below"),
+            ({"wavenumber": 0}, "'geometry.wavenumber'.*positive"),
+            ({"slit_upper": [1, 2], "slit_lower": [1.0, 2.0]}, "'geometry.slit_upper'.*distinct"),
         ],
         ids=[
             "inf-max", "nan-min", "span-overflows", "inf-bins", "fractional-bins", "one-bin",
             "string-point", "string-number", "bool-number", "short-point", "bool-coordinate",
-            "huge-int", "bool-bins", "unknown-field",
+            "huge-int", "bool-bins", "unknown-field", "reversed-screen", "zero-wavenumber",
+            "coincident-slits",
         ],
     )
     def test_bad_screen_config_rejected_before_linspace(self, cfg, message):
         # np.linspace used to warn on the first six, and then the screen was
         # called "not strictly increasing" instead of non-finite. float()
         # and tuple() used to accept the next three, "12" as the point
-        # (1.0, 2.0).
+        # (1.0, 2.0). SlitGeometry refused the last three without naming
+        # the field.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match=message):
