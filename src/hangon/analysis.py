@@ -29,11 +29,13 @@ dropped when the call returns.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Mapping, NamedTuple, Sequence
 
 from .engine import ObserverHandle, Universe, _AnswerTable, force_observe
+from .errors import EmptyBranch
 from .states import Observable, StateVector, Subsystem
 
 
@@ -91,7 +93,15 @@ class Schedule:
         return universe, observer, tuple(outcomes)
 
     def counts(self, n: int, rng) -> dict[tuple[str, ...], int]:
-        """Outcome tallies over ``n`` trials, every combination listed."""
+        """Outcome tallies over ``n`` trials, every combination listed.
+
+        ``n`` is an integer: a float, a string or a bool raises TypeError,
+        and a negative count raises ValueError, before anything is drawn."""
+        if isinstance(n, bool):
+            raise TypeError("trial count must be an integer, not a bool")
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError(f"trial count must be non-negative, got {n}")
         tally = dict.fromkeys(_combinations(self._observables()), 0)
         answers = _AnswerTable()
         for _ in range(n):
@@ -118,10 +128,10 @@ class Schedule:
                 outcome = next(todo, None)
                 if outcome is None:
                     break
-                p *= universe.branch_probabilities(observer, step.obs)[outcome]
-                if p <= 0.0:
+                try:
+                    p *= force_observe(universe, observer, step.obs, outcome, t_happened=step.t_happened)
+                except EmptyBranch:
                     return universe, observer, 0.0
-                force_observe(universe, observer, step.obs, outcome, t_happened=step.t_happened)
         return universe, observer, p
 
     def joint(self) -> dict[tuple[str, ...], float]:

@@ -14,7 +14,12 @@ Each observer caches her branch state, keyed by the global state it was
 projected from and by her current node: the unnormalized branch, so a query
 projects only through the selectors added since the last one, plus the
 normalized branch and the class weights of every observable asked about at
-that node, so a repeated query on an unchanged path is a lookup.
+that node, so a repeated query on an unchanged path is a lookup. An
+observation of a fact already fixed in her branch changes nothing there:
+when the projection down to a new node drops no term, the new node shares
+its parent's branch, normalization and class-weights dict instead of
+normalizing and weighing the same terms again, so one weights dict can be
+filled from several nodes, each time with the same values.
 ``observe`` and ``force_observe`` read the cached class weights in place;
 ``branch_probabilities`` hands callers a copy. ``entangle_step`` replaces
 the global state, which makes every cache stale; the next query rebuilds it
@@ -37,9 +42,10 @@ observers' caches.
 A Universe and its observers form one mutation domain driven by a single
 thread of control. The queries (conditional_state, branch_probabilities)
 write only the queried observer's cache, never the global state or another
-observer; that write is idempotent (one cache per observer), so the queries
-may run concurrently between mutations. Distinct universes with distinct
-seeds parallelize freely.
+observer; that write is idempotent (one cache per observer, and a weights
+dict that several nodes share gets the same values from each), so the
+queries may run concurrently between mutations. Distinct universes with
+distinct seeds parallelize freely.
 """
 from __future__ import annotations
 
@@ -138,7 +144,10 @@ class ObserverHandle:
     projected through every selector from the root down to ``node``, an
     ancestor of (or equal to) the current node, and the answers already
     given there. ``branches below`` is that node's entry in the universe's
-    answer table, or None when the universe has no table.
+    answer table, or None when the universe has no table. A node reached by
+    a projection that dropped no term shares the branch, normalized branch
+    and weights dict of the node it was projected from; only ``branches
+    below`` is its own.
     """
 
     __slots__ = ("id", "ledger", "_node", "_memo")
@@ -279,9 +288,11 @@ class Universe:
         global state nor the observer's node changes, the cached normalized
         branch is returned as is. ``project`` keeps the surviving terms'
         amplitudes and order, so the result equals the re-projection from the
-        root exactly. With an answer table, a miss first looks the new
-        selectors up below the cached node and projects only if no universe
-        of the same call has.
+        root exactly, and a projection that keeps every term of the cached
+        branch gives that branch again: the new node takes over its
+        normalization and class weights. With an answer table, a miss first
+        looks the new selectors up below the cached node and projects only if
+        no universe of the same call has.
         """
         self._check_registered(observer)
         node = observer._node
@@ -291,6 +302,7 @@ class Universe:
                 return memo[3]
             _, stop, branch, _, _, below = memo
         else:
+            memo = None
             stop, branch = self._root, self._state
             below = None if self._answers is None else self._answers.branches(branch)
         if below is not None:
@@ -311,11 +323,16 @@ class Universe:
             obs, outcome = walk.selector
             branch = project(branch, obs, outcome)
             walk = walk.parent
-        conditional = branch.normalized()
-        if below is None:
-            observer._memo = (self._state, node, branch, conditional, {}, None)
+        if memo is not None and branch.term_count() == memo[2].term_count():
+            # Nothing was dropped, so the branch is the memo's term for term:
+            # carry its normalization and the weights already asked there.
+            _, _, branch, conditional, weights, _ = memo
         else:
-            shared = below[selectors] = (branch, conditional, {}, {})
+            conditional, weights = branch.normalized(), {}
+        if below is None:
+            observer._memo = (self._state, node, branch, conditional, weights, None)
+        else:
+            shared = below[selectors] = (branch, conditional, weights, {})
             observer._memo = (self._state, node) + shared
         return conditional
 

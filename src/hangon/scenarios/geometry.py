@@ -117,10 +117,11 @@ def geometry_from_config(cfg: dict) -> SlitGeometry:
     with the documented default for each field it leaves out.
 
     Numbers must be finite reals, points arrays of two of them, and ``bins``
-    an integer of at least 2; ``screen_min`` must be below ``screen_max``,
-    ``wavenumber`` positive and the slits apart. Anything else, a field that
-    ``to_config`` does not write included, raises ValueError naming the
-    field as ``'geometry.<key>'``.
+    an integer of at least 2; ``screen_min`` must be below ``screen_max``
+    by enough to give ``bins`` distinct positions, ``wavenumber`` positive
+    and the slits apart. Anything else, a field that ``to_config`` does not
+    write included, raises ValueError naming the field as
+    ``'geometry.<key>'``.
     """
     bins = cfg.get("bins", 512)
     # Checked before np.linspace, which warns on a non-finite end or span.
@@ -145,6 +146,11 @@ def geometry_from_config(cfg: dict) -> SlitGeometry:
         raise ValueError(
             f"fields 'geometry.screen_min' and 'geometry.screen_max': the span from {lo!r} to {hi!r} must be finite"
         )
+    positions = np.linspace(lo, hi, bins)
+    if not np.all(np.diff(positions) > 0):
+        raise ValueError(
+            f"fields 'geometry.screen_min' and 'geometry.screen_max': the span from {lo!r} to {hi!r} is too small for {bins} distinct bins"
+        )
     wavenumber = number("wavenumber", 2.0 * math.pi / 0.05)
     if wavenumber <= 0:
         raise ValueError(f"field 'geometry.wavenumber': must be positive, got {wavenumber!r}")
@@ -158,7 +164,7 @@ def geometry_from_config(cfg: dict) -> SlitGeometry:
         slit_lower=lower,
         wavenumber=wavenumber,
         screen_distance=number("screen_distance", 100.0),
-        screen_positions=np.linspace(lo, hi, bins),
+        screen_positions=positions,
         detector_position=point("detector_position", (0.0, 200.0)),
     )
     unknown = sorted(set(cfg) - set(g.to_config()))

@@ -258,6 +258,12 @@ class TestGeometryValues:
             with pytest.raises(ValueError, match=message):
                 geometry_from_config(cfg)
 
+    def test_screen_span_too_small_for_its_bins_is_named(self):
+        # linspace repeats positions here; SlitGeometry used to refuse the
+        # screen as "not strictly increasing" without naming a field.
+        with pytest.raises(ValueError, match="'geometry.screen_min' and 'geometry.screen_max'.*too small for 3"):
+            geometry_from_config({"screen_min": 0.0, "screen_max": 5e-324, "bins": 3})
+
     def test_singular_point_named_on_the_whole_screen(self):
         g = SlitGeometry(**{**_GOOD_GEOMETRY, "screen_distance": 0.0, "screen_positions": np.linspace(-0.5, 0.5, 5)})
         with pytest.raises(SingularPoint, match="screen position -0.5 "):

@@ -739,6 +739,85 @@ def _cost_guard_state():
     return make_state(subs, terms), subs
 
 
+@pytest.fixture
+def weighings(monkeypatch):
+    """Counts ``outcome_probability`` calls made by the engine."""
+    calls = [0]
+    real_outcome_probability = engine.outcome_probability
+
+    def counting_outcome_probability(*args):
+        calls[0] += 1
+        return real_outcome_probability(*args)
+
+    monkeypatch.setattr(engine, "outcome_probability", counting_outcome_probability)
+    return calls
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["own-memo", "answer-table"])
+def test_observing_a_fixed_fact_weighs_nothing_again(weighings, table):
+    """Once the branch is one term, observing facts it already fixes drops
+    no term: the new nodes keep the branch, its normalization and its class
+    weights, so nothing is weighed again; counts calls, so it does not
+    depend on the machine's speed."""
+    state, subs = _cost_guard_state()
+    u = engine.Universe(state, _answers=engine._AnswerTable() if table else None)
+    o = u.register_observer("alice")
+    labels = [label_observable(sub) for sub in subs]
+    for obs in labels:
+        probs = u.branch_probabilities(o, obs)
+        force_observe(u, o, obs, max(probs, key=probs.get))
+    assert u.conditional_state(o).term_count() == 1
+    for obs in labels:
+        u.branch_probabilities(o, obs)
+    fixed = u.conditional_state(o)
+    weighings[0] = 0
+    rng = RngStream(3)
+    for step in range(50):
+        u.observe(o, labels[step % len(labels)], rng)
+        assert u.conditional_state(o) is fixed
+    assert o.depth == len(labels) + 50
+    assert weighings[0] == 0
+    # A degenerate observable first asked here costs one call per class, once.
+    coarse = _observable(subs[0], True)
+    for _ in range(5):
+        u.observe(o, coarse, rng)
+        assert u.conditional_state(o) is fixed
+    assert weighings[0] == len(coarse.class_names)
+    assert u.trace[-1].probability == 1.0
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["own-memo", "answer-table"])
+def test_long_history_weights_equal_root_reprojection(table):
+    """Two observers, 320 observations of label and degenerate observables,
+    many of them repeats, with a pointer fired halfway: every traced
+    probability is, bit for bit, the class weight of the from-root
+    re-projection. With a table, a second universe with another seed
+    shares it."""
+    subs = [Subsystem("s0", ("l0", "l1", "l2")), Subsystem("s1", ("l0", "l1", "l2")), Subsystem("s2", ("l0", "l1"))]
+    pointer = Subsystem("p", ("ready", "r0", "r1", "r2"))
+    terms = [(k, complex(1.0 + 0.25 * n, 0.5 - 0.125 * n)) for n, k in enumerate(_label_tuples(subs)) if n % 4 != 1]
+    state = tensor(make_state(subs, terms), make_state([pointer], [(("ready",), 1.0)]))
+    system = label_observable(subs[0])
+    correlation = {c: f"r{j}" for j, c in enumerate(system.class_names)}
+    before = [_observable(sub, deg) for sub in subs for deg in (False, True)]
+    after = before + [label_observable(pointer)]
+    shared = engine._AnswerTable() if table else None
+    for seed in (11, 12) if table else (11,):
+        u = engine.Universe(state, _answers=shared)
+        observers = [u.register_observer("a"), u.register_observer("b")]
+        rng = RngStream(seed)
+        for step in range(320):
+            if step == 160:
+                u.entangle_step(system, pointer, correlation)
+            pool = before if step < 160 else after
+            o = observers[0 if step % 3 else 1]
+            obs = pool[(step * 7 // 3) % len(pool)]
+            want = _reference_probabilities(u, o, obs)
+            outcome = u.observe(o, obs, rng)
+            assert u.trace[-1].probability.hex() == want[outcome].hex()
+        assert len(u.trace) == 320 and min(o.depth for o in observers) > 100
+
+
 def test_sequential_joint_asks_each_class_once_per_prefix(monkeypatch):
     """Every positive prefix of every combination costs one
     ``outcome_probability`` call per outcome class of the next observable,

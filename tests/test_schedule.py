@@ -19,7 +19,7 @@ from hangon import (
 )
 from hangon.analysis import Advance, Entangle, Observe, Schedule, sequential_joint_distribution
 from hangon.engine import force_observe
-from hangon.errors import SimulationError
+from hangon.errors import SimulationError, UnknownOutcome
 from hangon.rng import RngStream
 from hangon.scenarios import (
     ORDERS,
@@ -152,6 +152,20 @@ def test_walk_multiplies_branch_probabilities_and_stops_without_support():
     assert [outcome for _, outcome in observer.path_selectors()] == ["Y"]
     _, observer, p = schedule.walk(())
     assert p == 1.0 and observer.depth == 0
+
+
+def test_walk_refuses_an_outcome_the_observable_lacks():
+    with pytest.raises(UnknownOutcome, match="'Z'"):
+        partial_pair_schedule().walk(("Z",))
+
+
+@pytest.mark.parametrize("n, error", [(-3, ValueError), (True, TypeError), (2.0, TypeError), ("5", TypeError)])
+def test_counts_refuses_a_bad_trial_count(n, error):
+    rng = RngStream(4)
+    with pytest.raises(error, match="trial count|integer"):
+        epr_schedule("alice_first").counts(n, rng)
+    # Nothing was drawn.
+    assert rng.random() == RngStream(4).random()
 
 
 def test_walk_applies_entangle_steps_before_the_first_unforced_observation():
