@@ -114,7 +114,11 @@ class Schedule:
         """Force the observations onto ``outcomes`` in turn and return the
         chain product of their branch probabilities, 0.0 at the first outcome
         without support. The walk stops before the first observation that
-        ``outcomes`` does not reach."""
+        ``outcomes`` does not reach; more outcomes than observations raise
+        ValueError before anything runs."""
+        observations = len(self._observables())
+        if len(outcomes) > observations:
+            raise ValueError(f"{len(outcomes)} outcomes for {observations} observations")
         universe = Universe(self.initial, _answers=_answers)
         observer = universe.register_observer("alice")
         todo = iter(outcomes)

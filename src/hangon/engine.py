@@ -19,7 +19,10 @@ observation of a fact already fixed in her branch changes nothing there:
 when the projection down to a new node drops no term, the new node shares
 its parent's branch, normalization and class-weights dict instead of
 normalizing and weighing the same terms again, so one weights dict can be
-filled from several nodes, each time with the same values.
+filled from several nodes, each time with the same values. The branch also
+remembers the selectors it has survived, its fixed facts: a selector it
+has kept whole once is hung on below any node sharing it without another
+projection, since the branch is immutable and a projection deterministic.
 ``observe`` and ``force_observe`` read the cached class weights in place;
 ``branch_probabilities`` hands callers a copy. ``entangle_step`` replaces
 the global state, which makes every cache stale; the next query rebuilds it
@@ -43,9 +46,9 @@ A Universe and its observers form one mutation domain driven by a single
 thread of control. The queries (conditional_state, branch_probabilities)
 write only the queried observer's cache, never the global state or another
 observer; that write is idempotent (one cache per observer, and a weights
-dict that several nodes share gets the same values from each), so the
-queries may run concurrently between mutations. Distinct universes with
-distinct seeds parallelize freely.
+dict or fixed-facts dict that several nodes share gets the same values
+from each), so the queries may run concurrently between mutations.
+Distinct universes with distinct seeds parallelize freely.
 """
 from __future__ import annotations
 
@@ -54,7 +57,7 @@ import operator
 from typing import Mapping, NamedTuple
 
 from .errors import AllOutcomesForbidden, DuplicateObserver, EmptyBranch, PointerNotReady, UnknownOutcome
-from .events import EventLedger, Proposition
+from .events import EventLedger, _proposition
 from .rng import FixedStream
 from .states import (
     NORM_TOL,
@@ -74,11 +77,14 @@ _FORBIDDEN_TOL = 1e-12
 
 # ``observe`` builds one BranchNode and one TraceEntry per call, so both are
 # NamedTuples: immutable, compared and hashed field by field, and built in
-# half the time of a frozen dataclass or less. The ledger's Proposition and
-# EventRecord are public API and stay frozen dataclasses: their value
-# equality and hashing never make them equal to a plain tuple. ``observe``
-# builds one slotted Proposition; the ledger stores it with its time and
-# builds EventRecords only when read.
+# half the time of a frozen dataclass or less. ``observe`` builds them with
+# ``tuple.__new__``, which skips the generated ``__new__`` and its keyword
+# handling. The ledger's Proposition and EventRecord are public API and stay
+# frozen dataclasses: their value equality and hashing never make them equal
+# to a plain tuple. ``observe`` builds one slotted Proposition through
+# ``events._proposition``; the ledger stores it with its time and builds
+# EventRecords only when read.
+_tuple_new = tuple.__new__
 
 
 class BranchNode(NamedTuple):
@@ -105,8 +111,9 @@ class _AnswerTable:
 
     ``branches(state)`` is a dict from the selectors a projection went
     through, in walk order, to ``(unnormalized branch, normalized branch,
-    {observable: class weights}, branches below it)``. Every value holds
-    the objects whose ids key it, so no id is reused while the table lives.
+    {observable: class weights}, {observable: fixed class}, branches below
+    it)``. Every value holds the objects whose ids key it, so no id is
+    reused while the table lives.
     """
 
     __slots__ = ("_premeasured", "_roots")
@@ -140,14 +147,15 @@ class ObserverHandle:
     """An observer's identity, current branch node, and event ledger.
 
     ``_memo`` caches ``(global state, node, unnormalized branch, normalized
-    branch, {observable: class weights}, branches below)``: the global state
-    projected through every selector from the root down to ``node``, an
-    ancestor of (or equal to) the current node, and the answers already
-    given there. ``branches below`` is that node's entry in the universe's
-    answer table, or None when the universe has no table. A node reached by
-    a projection that dropped no term shares the branch, normalized branch
-    and weights dict of the node it was projected from; only ``branches
-    below`` is its own.
+    branch, {observable: class weights}, {observable: fixed class}, branches
+    below)``: the global state projected through every selector from the
+    root down to ``node``, an ancestor of (or equal to) the current node,
+    and the answers already given there. The fixed classes are the
+    selectors the branch is known to keep whole. ``branches below`` is that
+    node's entry in the universe's answer table, or None when the universe
+    has no table. A node reached by a projection that dropped no term
+    shares the branch, normalized branch, weights dict and fixed-class dict
+    of the node it was projected from; only ``branches below`` is its own.
     """
 
     __slots__ = ("id", "ledger", "_node", "_memo")
@@ -157,7 +165,15 @@ class ObserverHandle:
         self.ledger = EventLedger(observer_id)
         self._node = root
         self._memo: (
-            tuple[StateVector, BranchNode, StateVector, StateVector, dict[Observable, dict[str, float]], dict | None]
+            tuple[
+                StateVector,
+                BranchNode,
+                StateVector,
+                StateVector,
+                dict[Observable, dict[str, float]],
+                dict[Observable, str],
+                dict | None,
+            ]
             | None
         ) = None
 
@@ -240,8 +256,11 @@ class Universe:
     def advance_clock(self, to: int) -> None:
         """Fast-forward the logical clock (narratives supply their own times).
 
-        Times are integers: a float or a string raises TypeError, and an
-        earlier time raises ValueError, both before the clock moves."""
+        Times are integers: a float, a string or a bool raises TypeError,
+        and an earlier time raises ValueError, both before the clock moves."""
+        # ``operator.index`` takes a bool as 0 or 1.
+        if type(to) is bool:
+            raise TypeError(f"clock time must be an integer, not {to!r}")
         t = operator.index(to)
         if t < self._clock:
             raise ValueError(f"clock cannot move backwards ({t} < {self._clock})")
@@ -290,9 +309,11 @@ class Universe:
         amplitudes and order, so the result equals the re-projection from the
         root exactly, and a projection that keeps every term of the cached
         branch gives that branch again: the new node takes over its
-        normalization and class weights. With an answer table, a miss first
-        looks the new selectors up below the cached node and projects only if
-        no universe of the same call has.
+        normalization, class weights and fixed facts, and the new selector
+        joins those facts. A selector already among them is not projected
+        again. With an answer table, a miss first looks the new selectors up
+        below the cached node and projects only if no universe of the same
+        call has.
         """
         self._check_registered(observer)
         node = observer._node
@@ -300,10 +321,10 @@ class Universe:
         if memo is not None and memo[0] is self._state:
             if memo[1] is node:
                 return memo[3]
-            _, stop, branch, _, _, below = memo
+            _, stop, branch, _, _, fixed, below = memo
         else:
             memo = None
-            stop, branch = self._root, self._state
+            stop, branch, fixed = self._root, self._state, {}
             below = None if self._answers is None else self._answers.branches(branch)
         if below is not None:
             selectors = []
@@ -317,22 +338,28 @@ class Universe:
                 observer._memo = (self._state, node) + shared
                 return shared[1]
         # Projections are term filters and commute, so they apply in walk
-        # order, newest selector first.
+        # order, newest selector first. A selector the memo's branch keeps
+        # whole keeps every sub-branch whole too, so it is not projected.
         walk = node
         while walk is not stop:
             obs, outcome = walk.selector
-            branch = project(branch, obs, outcome)
+            if fixed.get(obs) != outcome:
+                branch = project(branch, obs, outcome)
             walk = walk.parent
-        if memo is not None and branch.term_count() == memo[2].term_count():
-            # Nothing was dropped, so the branch is the memo's term for term:
-            # carry its normalization and the weights already asked there.
-            _, _, branch, conditional, weights, _ = memo
+        if memo is not None and (branch is memo[2] or branch.term_count() == memo[2].term_count()):
+            # Nothing was projected, or nothing was dropped, so the branch is
+            # the memo's term for term: carry its normalization, the weights
+            # already asked there and the facts it fixes, and add the newest
+            # selector to those facts.
+            _, _, branch, conditional, weights, fixed, _ = memo
+            obs, outcome = node.selector
+            fixed[obs] = outcome
         else:
-            conditional, weights = branch.normalized(), {}
+            conditional, weights, fixed = branch.normalized(), {}, {}
         if below is None:
-            observer._memo = (self._state, node, branch, conditional, weights, None)
+            observer._memo = (self._state, node, branch, conditional, weights, fixed, None)
         else:
-            shared = below[selectors] = (branch, conditional, weights, {})
+            shared = below[selectors] = (branch, conditional, weights, fixed, {})
             observer._memo = (self._state, node) + shared
         return conditional
 
@@ -367,11 +394,13 @@ class Universe:
 
         ``t_happened`` dates the recorded fact; it defaults to now. A fact
         becomes determined only by this measurement, so a date later than now
-        raises ValueError, and a date that is not an integer raises
-        TypeError, before anything is drawn or written. The global state is
-        untouched.
+        raises ValueError, and a date that is not an integer (a bool is not
+        one) raises TypeError, before anything is drawn or written. The
+        global state is untouched.
         """
         if t_happened is not None:
+            if type(t_happened) is bool:
+                raise TypeError(f"t_happened must be an integer, not {t_happened!r}")
             t_happened = operator.index(t_happened)
             if t_happened > self._clock:
                 raise ValueError(f"t_happened={t_happened} is after its determination at t={self._clock}")
@@ -392,13 +421,11 @@ class Universe:
         assert outcome is not None
         t = self._tick()
         node = observer._node
-        observer._node = BranchNode(node, (obs, outcome), node.depth + 1)
-        observer.ledger.record(
-            Proposition(obs.subsystem.name, outcome, t if t_happened is None else t_happened),
-            t,
-        )
-        self._observed.add(obs.subsystem.name)
-        self._trace.append(TraceEntry(observer.id, t, obs.name, outcome, probs[outcome]))
+        observer._node = _tuple_new(BranchNode, (node, (obs, outcome), node.depth + 1))
+        name = obs.subsystem.name
+        observer.ledger.record(_proposition(name, outcome, t if t_happened is None else t_happened), t)
+        self._observed.add(name)
+        self._trace.append(_tuple_new(TraceEntry, (observer.id, t, obs.name, outcome, probs[outcome])))
         return outcome
 
     def communicate(

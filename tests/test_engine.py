@@ -378,7 +378,9 @@ class TestRefusedSteps:
 
     def test_times_that_are_not_integers_are_refused(self):
         # Before the check, advance_clock(7.9) set the clock to 7 and a fact
-        # dated 2.9 was recorded as happening at 2.
+        # dated 2.9 was recorded as happening at 2. Before bools were refused,
+        # advance_clock(True) set the clock to 1 and a fact dated True was
+        # recorded as happening at 1.
         u = singlet_universe(with_bob=True)
         u.entangle_step(B_SPIN, BOB, {"+": "+", "-": "-"})
         o = u.register_observer("alice")
@@ -388,7 +390,7 @@ class TestRefusedSteps:
         before = _snapshot(u, [o])
         reference = RngStream(3)
         reference.random()
-        for bad in (7.9, 3.0, "3", float("nan")):
+        for bad in (7.9, 3.0, "3", float("nan"), True, False):
             with pytest.raises(TypeError):
                 u.advance_clock(bad)
             for ask, obs in ((u.observe, B_SPIN), (u.communicate, BOB_RECORD)):
@@ -554,9 +556,14 @@ def _entangled_universes(draw):
 @given(_entangled_universes(), st.data())
 def test_conditional_state_equals_root_reprojection(setup, data):
     """The cached conditional state is the from-root re-projection, exactly,
-    over schedules that interleave observation and entangling steps."""
+    over schedules that interleave observation and entangling steps.
+    Observables are built once and observations repeat, so selectors recur
+    and a branch is asked again about selectors it has already kept whole."""
     u, subs, pointers = setup
     observers = [u.register_observer("a"), u.register_observer("b")]
+    pool = {
+        (sub.name, deg): _observable(sub, deg) for sub in subs + pointers for deg in (False, True)
+    }
     fired = 0
     for _ in range(data.draw(st.integers(1, 14), label="steps")):
         kind = data.draw(
@@ -566,10 +573,12 @@ def test_conditional_state_equals_root_reprojection(setup, data):
         # Fired pointers may be observed too. A still-ready pointer may not:
         # firing it later would leave a "ready" selector without support.
         sub = data.draw(st.sampled_from(subs + pointers[:fired]), label="subsystem")
-        obs = _observable(sub, data.draw(st.booleans(), label="degenerate"))
+        obs = pool[sub.name, data.draw(st.booleans(), label="degenerate")]
         if kind == "observe":
-            draw = data.draw(st.floats(0.0, 1.0, exclude_max=True), label="uniform")
-            u.observe(o, obs, FixedStream([draw]))
+            # Repeats hang a selector on a branch that may already keep it whole.
+            for _ in range(data.draw(st.integers(1, 3), label="repeats")):
+                draw = data.draw(st.floats(0.0, 1.0, exclude_max=True), label="uniform")
+                u.observe(o, obs, FixedStream([draw]))
         elif kind == "force":
             probs = u.branch_probabilities(o, obs)
             supported = [c for c, p in probs.items() if p > 0.0]
@@ -577,10 +586,10 @@ def test_conditional_state_equals_root_reprojection(setup, data):
         elif kind == "probabilities":
             u.branch_probabilities(o, obs)
         elif fired < N_POINTERS:
-            system = _observable(
-                data.draw(st.sampled_from(subs), label="system"),
+            system = pool[
+                data.draw(st.sampled_from(subs), label="system").name,
                 data.draw(st.booleans(), label="system_degenerate"),
-            )
+            ]
             correlation = {c: f"r{j}" for j, c in enumerate(system.class_names)}
             u.entangle_step(system, pointers[fired], correlation)
             fired += 1
@@ -646,8 +655,10 @@ def test_cached_answers_equal_root_reprojection(setup, data):
         sub = data.draw(st.sampled_from(subs + pointers[:fired]), label="subsystem")
         obs = pool[sub.name, data.draw(st.booleans(), label="degenerate")]
         if kind == "observe":
-            draw = data.draw(st.floats(0.0, 1.0, exclude_max=True), label="uniform")
-            u.observe(o, obs, FixedStream([draw]))
+            # Repeats hang a selector on a branch that may already keep it whole.
+            for _ in range(data.draw(st.integers(1, 3), label="repeats")):
+                draw = data.draw(st.floats(0.0, 1.0, exclude_max=True), label="uniform")
+                u.observe(o, obs, FixedStream([draw]))
         elif kind == "force":
             probs = u.branch_probabilities(o, obs)
             supported = [c for c, p in probs.items() if p > 0.0]
@@ -702,8 +713,10 @@ def test_answer_table_answers_equal_root_reprojection(setup, data):
         sub = data.draw(st.sampled_from(subs + pointers[: fired[k]]), label="subsystem")
         obs = pool[sub.name, data.draw(st.booleans(), label="degenerate")]
         if kind == "observe":
-            draw = data.draw(st.floats(0.0, 1.0, exclude_max=True), label="uniform")
-            v.observe(o, obs, FixedStream([draw]))
+            # Repeats hang a selector on a branch that may already keep it whole.
+            for _ in range(data.draw(st.integers(1, 3), label="repeats")):
+                draw = data.draw(st.floats(0.0, 1.0, exclude_max=True), label="uniform")
+                v.observe(o, obs, FixedStream([draw]))
         elif kind == "force":
             probs = v.branch_probabilities(o, obs)
             supported = [c for c, p in probs.items() if p > 0.0]
@@ -753,11 +766,26 @@ def weighings(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def projections(monkeypatch):
+    """Counts ``project`` calls made by the engine."""
+    calls = [0]
+    real_project = engine.project
+
+    def counting_project(*args):
+        calls[0] += 1
+        return real_project(*args)
+
+    monkeypatch.setattr(engine, "project", counting_project)
+    return calls
+
+
 @pytest.mark.parametrize("table", [False, True], ids=["own-memo", "answer-table"])
-def test_observing_a_fixed_fact_weighs_nothing_again(weighings, table):
+def test_observing_a_fixed_fact_weighs_nothing_again(weighings, projections, table):
     """Once the branch is one term, observing facts it already fixes drops
     no term: the new nodes keep the branch, its normalization and its class
-    weights, so nothing is weighed again; counts calls, so it does not
+    weights, so nothing is weighed again, and a selector the branch has
+    kept whole once is not projected again; counts calls, so it does not
     depend on the machine's speed."""
     state, subs = _cost_guard_state()
     u = engine.Universe(state, _answers=engine._AnswerTable() if table else None)
@@ -770,20 +798,41 @@ def test_observing_a_fixed_fact_weighs_nothing_again(weighings, table):
     for obs in labels:
         u.branch_probabilities(o, obs)
     fixed = u.conditional_state(o)
-    weighings[0] = 0
+    weighings[0] = projections[0] = 0
     rng = RngStream(3)
     for step in range(50):
         u.observe(o, labels[step % len(labels)], rng)
         assert u.conditional_state(o) is fixed
     assert o.depth == len(labels) + 50
     assert weighings[0] == 0
+    # One projection per distinct selector, the first time it is hung on.
+    assert projections[0] <= len(labels)
     # A degenerate observable first asked here costs one call per class, once.
     coarse = _observable(subs[0], True)
     for _ in range(5):
         u.observe(o, coarse, rng)
         assert u.conditional_state(o) is fixed
     assert weighings[0] == len(coarse.class_names)
+    assert projections[0] <= len(labels) + 1
     assert u.trace[-1].probability == 1.0
+
+
+def test_a_selector_that_dropped_terms_is_projected_below_a_shared_branch():
+    """Two universes share a table. The first hangs a selector that drops
+    terms below a node; the second reaches a node sharing that node's
+    branch through a repeat, then hangs the same selector: it must drop the
+    same terms there, since only selectors a branch kept whole are skipped."""
+    s0, s1 = Subsystem("s0", ("l0", "l1")), Subsystem("s1", ("l0", "l1"))
+    state = make_state([s0, s1], [(("l0", "l0"), 0.6), (("l0", "l1"), 0.8)])
+    first, second = label_observable(s0), label_observable(s1)
+    table = engine._AnswerTable()
+    universes = [engine.Universe(state, _answers=table) for _ in range(2)]
+    for v, walk in zip(universes, ([first, second], [first, first, second])):
+        o = v.register_observer("alice")
+        for obs in walk:
+            force_observe(v, o, obs, "l0")
+        assert v.conditional_state(o) == _reference_conditional(v, o)
+        assert v.conditional_state(o).term_count() == 1
 
 
 @pytest.mark.parametrize("table", [False, True], ids=["own-memo", "answer-table"])
@@ -950,7 +999,9 @@ def test_born_joint_of_contradictory_combinations_is_zero():
 
 def test_concurrent_queries_between_mutations_agree():
     """Queries from several threads on one observer, between mutations, all
-    see the from-root answer: the cache fill is an idempotent write."""
+    see the from-root answer: the cache fill is an idempotent write. Three
+    passes over the observables repeat facts the branch already fixes, so
+    the threads also race to record and read the selectors it keeps whole."""
     state, subs = _cost_guard_state()
     observables = [_observable(sub, deg) for sub in subs for deg in (False, True)]
     u = create_universe(state)
@@ -974,7 +1025,7 @@ def test_concurrent_queries_between_mutations_agree():
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for step in range(6):
+        for step in range(3 * len(observables)):
             threads = [threading.Thread(target=query, args=(20,)) for _ in range(4)]
             for t in threads:
                 t.start()

@@ -1,9 +1,12 @@
 """Event ledger: append ordering, three-valued truth, monotonicity."""
+import dataclasses
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hangon import EventLedger, OutOfOrderDetermination, Proposition, Truth
+from hangon.events import _proposition
 from hangon.rng import RngStream
 
 SUNDAY_11 = 10
@@ -19,6 +22,18 @@ def test_record_stores_both_times():
     assert rec.proposition.t_happened == SUNDAY_11
     assert rec.t_determined == MONDAY_NOON
     assert rec.observer == "alice"
+
+
+def test_fast_built_proposition_is_a_proposition():
+    """``observe`` builds its Propositions without ``__init__``; they are
+    the same class and compare, hash, print and refuse writes alike."""
+    fast, plain = _proposition("needle", "up", 3), Proposition("needle", "up", 3)
+    assert type(fast) is Proposition
+    assert fast == plain and hash(fast) == hash(plain) and repr(fast) == repr(plain)
+    assert fast != _proposition("needle", "up", 4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fast.outcome = "down"
+    assert dataclasses.asdict(fast) == {"subsystem": "needle", "outcome": "up", "t_happened": 3}
 
 
 def test_immediate_event():

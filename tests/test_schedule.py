@@ -159,6 +159,24 @@ def test_walk_refuses_an_outcome_the_observable_lacks():
         partial_pair_schedule().walk(("Z",))
 
 
+def test_walk_refuses_surplus_outcomes(monkeypatch):
+    # Before the check, walk(("X", "a", "bogus", "more")) returned 1/3.
+    schedule = partial_pair_schedule()
+
+    def no_universe(*args, **kwargs):
+        raise AssertionError("a universe was built")
+
+    monkeypatch.setattr("hangon.analysis.Universe", no_universe)
+    with pytest.raises(ValueError, match="4 outcomes for 2 observations"):
+        schedule.walk(("X", "a", "bogus", "more"))
+    with pytest.raises(ValueError, match="3 outcomes for 2 observations"):
+        schedule.walk(("X", "a", "a"))
+    monkeypatch.undo()
+    # Fewer outcomes than observations still walk a prefix.
+    _, observer, p = schedule.walk(("X",))
+    assert observer.depth == 1 and p == pytest.approx(2 / 3, abs=1e-12)
+
+
 @pytest.mark.parametrize("n, error", [(-3, ValueError), (True, TypeError), (2.0, TypeError), ("5", TypeError)])
 def test_counts_refuses_a_bad_trial_count(n, error):
     rng = RngStream(4)
@@ -392,11 +410,25 @@ def test_a_future_dated_observation_is_refused_as_the_engine_refuses_it(schedule
 
 
 def test_steps_with_times_that_are_not_integers_are_refused():
+    # Before bools were refused, Advance(True) moved the clock to 1 and
+    # Observe(obs, False) dated its fact 0.
     schedule = partial_pair_schedule()
     obs = schedule.steps[0].obs
-    for steps in ((Advance(2.5),), (Advance(3), Observe(obs, 1.0))):
+    refused = (
+        (Advance(2.5),),
+        (Advance(3), Observe(obs, 1.0)),
+        (Advance(True),),
+        (Advance(3), Observe(obs, False)),
+    )
+    for steps in refused:
+        bad = Schedule(schedule.initial, steps)
+        rng = RngStream(0)
         with pytest.raises(TypeError):
-            Schedule(schedule.initial, steps).run(RngStream(0))
+            bad.run(rng)
+        # Nothing was drawn.
+        assert rng.random() == RngStream(0).random()
+        with pytest.raises(TypeError):
+            bad.walk(("X",) * len(bad._observables()))
 
 
 def test_no_conflict_trials_sample_the_same_with_a_shared_answer_table():
