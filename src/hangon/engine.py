@@ -24,9 +24,12 @@ remembers the selectors it has survived, its fixed facts: a selector it
 has kept whole once is hung on below any node sharing it without another
 projection, since the branch is immutable and a projection deterministic.
 ``observe`` and ``force_observe`` read the cached class weights in place;
-``branch_probabilities`` hands callers a copy. ``entangle_step`` replaces
-the global state, which makes every cache stale; the next query rebuilds it
-from the root once.
+``branch_probabilities`` hands callers a copy. ``observe`` is the one place
+that maps a uniform draw to a class: ``force_observe`` names the class it
+has checked instead of steering a draw onto it, and ``observe`` hangs on to
+that class without drawing and records it as it records a sampled one.
+``entangle_step`` replaces the global state, which makes every cache stale;
+the next query rebuilds it from the root once.
 
 The universes that one ``Schedule.counts``, ``Schedule.joint`` or
 ``sequential_joint_distribution`` call builds share one ``_AnswerTable``,
@@ -58,7 +61,6 @@ from typing import Mapping, NamedTuple
 
 from .errors import AllOutcomesForbidden, DuplicateObserver, EmptyBranch, PointerNotReady, UnknownOutcome
 from .events import EventLedger, _proposition
-from .rng import FixedStream
 from .states import (
     NORM_TOL,
     Observable,
@@ -388,6 +390,8 @@ class Universe:
         obs: Observable,
         rng,
         t_happened: int | None = None,
+        *,
+        _outcome: str | None = None,
     ) -> str:
         """Born-rule branch selection: sample an outcome within the observer's
         conditional state, hang on to the daughter branch, record the event.
@@ -397,6 +401,9 @@ class Universe:
         raises ValueError, and a date that is not an integer (a bool is not
         one) raises TypeError, before anything is drawn or written. The
         global state is untouched.
+
+        ``_outcome`` is ``force_observe``'s: a class it has checked to be
+        supported, hung on to without a draw (``rng`` is not read).
         """
         if t_happened is not None:
             if type(t_happened) is bool:
@@ -408,17 +415,20 @@ class Universe:
         total = sum(probs.values())
         if not total > _FORBIDDEN_TOL:  # a NaN total fails too
             raise AllOutcomesForbidden(f"no outcome of {obs.name!r} has support in this branch")
-        u = rng.random() * total
-        acc = 0.0
-        outcome = None
-        for cls in obs.class_names:
-            p = probs[cls]
-            if p > 0.0:
-                acc += p
-                outcome = cls
-                if u < acc:
-                    break
-        assert outcome is not None
+        if _outcome is None:
+            u = rng.random() * total
+            acc = 0.0
+            outcome = None
+            for cls in obs.class_names:
+                p = probs[cls]
+                if p > 0.0:
+                    acc += p
+                    outcome = cls
+                    if u < acc:
+                        break
+            assert outcome is not None
+        else:
+            outcome = _outcome
         t = self._tick()
         node = observer._node
         observer._node = _tuple_new(BranchNode, (node, (obs, outcome), node.depth + 1))
@@ -463,25 +473,17 @@ def force_observe(
 ) -> float:
     """Extend the observer's path onto a chosen outcome (analysis hook).
 
-    Steers ``observe`` by feeding it the uniform draw that lands inside the
-    chosen outcome's probability band, so the real sampling path runs; it
-    passes ``t_happened`` on to ``observe``. Returns the probability the
-    outcome had. Forcing a zero-probability outcome raises EmptyBranch:
-    nothing can hang on to an unsupported branch.
+    Names the checked class to ``observe``, which hangs on to it without a
+    draw and otherwise runs as it does for a sampled outcome: the tick, the
+    node, the ledger record and the trace entry; ``t_happened`` is passed
+    on. Returns the probability the outcome had. An outcome the observable
+    lacks raises UnknownOutcome, and forcing a zero-probability outcome
+    raises EmptyBranch: nothing can hang on to an unsupported branch.
     """
-    probs = universe._class_weights(observer, obs)
-    if outcome not in probs:
+    p = universe._class_weights(observer, obs).get(outcome)
+    if p is None:
         raise UnknownOutcome(f"unknown outcome class {outcome!r} on {obs.name!r}")
-    p = probs[outcome]
     if p <= 0.0:
         raise EmptyBranch(f"outcome {outcome!r} has no support on this path")
-    total = sum(probs.values())
-    acc = 0.0
-    for cls in obs.class_names:
-        if cls == outcome:
-            break
-        if probs[cls] > 0.0:
-            acc += probs[cls]
-    got = universe.observe(observer, obs, FixedStream([(acc + p / 2.0) / total]), t_happened)
-    assert got == outcome
+    universe.observe(observer, obs, None, t_happened, _outcome=outcome)
     return p

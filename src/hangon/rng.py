@@ -291,7 +291,9 @@ class RngStream:
 
 
 class FixedStream:
-    """Preset uniform draws; used to steer sampling onto a chosen branch."""
+    """Preset uniform draws, in order, for tests and callers that pick the
+    draws a sampler sees. The engine does not use it: ``force_observe``
+    names its class to ``observe`` instead of steering a draw."""
 
     __slots__ = ("_values", "_pos")
 

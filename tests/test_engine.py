@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hangon import (
     AllOutcomesForbidden,
     DuplicateObserver,
+    EmptyBranch,
     FixedStream,
     Observable,
     PointerNotReady,
@@ -22,6 +23,7 @@ from hangon import (
     RngStream,
     Subsystem,
     Truth,
+    UnknownOutcome,
     create_universe,
     label_observable,
     make_state,
@@ -408,6 +410,35 @@ class TestRefusedSteps:
         assert u.clock == 9 and type(rec.t_determined) is int and rec.t_determined == 8
         assert type(rec.proposition.t_happened) is int and rec.proposition.t_happened == 2
 
+    def test_refused_forced_steps_change_nothing(self):
+        u = singlet_universe(with_bob=True)
+        u.entangle_step(B_SPIN, BOB, {"+": "+", "-": "-"})
+        o = u.register_observer("alice")
+        force_observe(u, o, A_SPIN, "+")
+        before = _snapshot(u, [o])
+        state = u.global_state
+        # The singlet leaves B, and so bob's record, at "-" in this branch.
+        refusals = [
+            (UnknownOutcome, B_SPIN, "0", None),
+            (UnknownOutcome, BOB_RECORD, "bogus", None),
+            (EmptyBranch, B_SPIN, "+", None),
+            (EmptyBranch, BOB_RECORD, "ready", None),
+            (ValueError, B_SPIN, "-", u.clock + 1),
+            (ValueError, BOB_RECORD, "-", 10**6),
+            (TypeError, B_SPIN, "-", True),
+            (TypeError, BOB_RECORD, "-", False),
+        ]
+        for error, obs, outcome, t_happened in refusals:
+            with pytest.raises(error):
+                force_observe(u, o, obs, outcome, t_happened=t_happened)
+        assert _snapshot(u, [o]) == before
+        assert u.global_state is state
+        t = u.clock
+        assert force_observe(u, o, BOB_RECORD, "-", t_happened=t) == pytest.approx(1.0, abs=1e-12)
+        rec = o.ledger.records[-1]
+        assert rec.t_determined == rec.proposition.t_happened == t
+        assert rec.proposition.outcome == "-" and u.clock == t + 1
+
     def test_pointer_an_observer_has_read_cannot_fire(self):
         # Before the guard, the firing succeeded and every later query of the
         # asker raised EmptyBranch: no term was left at her "ready" selector.
@@ -694,7 +725,9 @@ def test_cached_answers_equal_root_reprojection(setup, data):
 def test_answer_table_answers_equal_root_reprojection(setup, data):
     """Universes that share one answer table, two observers each, answer
     every query with the from-root re-projection, exactly, whatever mix of
-    observations and entangling steps each one has gone through."""
+    observations and entangling steps each one has gone through. A replay
+    step hangs a selector below a node that shares another node's branch,
+    so a fixed fact recorded on a branch that did not keep it whole shows."""
     u, subs, pointers = setup
     table = engine._AnswerTable()
     universes = [engine.Universe(u.global_state, _answers=table) for _ in range(2)]
@@ -707,7 +740,7 @@ def test_answer_table_answers_equal_root_reprojection(setup, data):
     for _ in range(data.draw(st.integers(1, 16), label="steps")):
         k = data.draw(st.integers(0, 1), label="universe")
         v, o = observers[2 * k + data.draw(st.integers(0, 1), label="observer")]
-        kind = data.draw(st.sampled_from(["observe", "force", "entangle"]), label="kind")
+        kind = data.draw(st.sampled_from(["observe", "force", "replay", "entangle"]), label="kind")
         # Only fired pointers are observed: a "ready" selector loses its
         # support once the pointer fires.
         sub = data.draw(st.sampled_from(subs + pointers[: fired[k]]), label="subsystem")
@@ -721,6 +754,22 @@ def test_answer_table_answers_equal_root_reprojection(setup, data):
             probs = v.branch_probabilities(o, obs)
             supported = [c for c, p in probs.items() if p > 0.0]
             force_observe(v, o, obs, data.draw(st.sampled_from(supported), label="outcome"))
+        elif kind == "replay":
+            # A new universe on the table walks this observer's path with one
+            # selector repeated. The repeat's node shares the branch of the
+            # node the observer hung the next selector below, so hanging that
+            # selector here reads what that hang recorded on the branch.
+            path = o.path_selectors()
+            if path:
+                i = data.draw(st.integers(0, len(path) - 1), label="repeated")
+                w = engine.Universe(v.global_state, _answers=table)
+                r = w.register_observer("replay")
+                for selector in path[: i + 1] + path[i:]:
+                    force_observe(w, r, *selector)
+                    got = w.conditional_state(r)
+                    want = _reference_conditional(w, r)
+                    assert got == want
+                    assert list(got.terms) == list(want.terms)
         elif fired[k] < N_POINTERS:
             key = (data.draw(st.sampled_from(subs), label="system").name, data.draw(st.booleans()))
             v.entangle_step(pool[key], pointers[fired[k]], correlations[key])
@@ -734,6 +783,74 @@ def test_answer_table_answers_equal_root_reprojection(setup, data):
                 probs = v.branch_probabilities(each, pool[key])
                 assert probs == _reference_probabilities(v, each, pool[key])
                 probs.clear()
+
+
+def _steer(u, o, obs, outcome, *, t_happened=None):
+    """Force ``outcome`` by steering a draw, as ``force_observe`` once did:
+    ``observe`` gets the uniform at the middle of the class's band."""
+    probs = u.branch_probabilities(o, obs)
+    p = probs[outcome]
+    total = sum(probs.values())
+    acc = 0.0
+    for cls in obs.class_names:
+        if cls == outcome:
+            break
+        if probs[cls] > 0.0:
+            acc += probs[cls]
+    assert u.observe(o, obs, FixedStream([(acc + p / 2.0) / total]), t_happened) == outcome
+    return p
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["own-memo", "answer-table"])
+@settings(max_examples=60, deadline=None)
+@given(setup=_entangled_universes(), data=st.data())
+def test_naming_the_class_equals_steering_a_draw(table, setup, data):
+    """``force_observe`` names its class to ``observe``; steering a draw to
+    the class instead leaves the same paths, trace (probabilities by
+    ``float.hex``), ledgers and clock, for every supported class at every
+    step of a random program. Each step runs on twin universes rebuilt from
+    the program so far, one per route; with a table, each route has its
+    own, shared by all its twins."""
+    u, subs, pointers = setup
+    pool = {
+        (sub.name, deg): _observable(sub, deg) for sub in subs + pointers for deg in (False, True)
+    }
+    tables = [engine._AnswerTable() if table else None for _ in range(2)]
+    routes = [force_observe, _steer]
+    program = []
+
+    def run(route, steps):
+        v = engine.Universe(u.global_state, _answers=tables[route])
+        observers = [v.register_observer(name) for name in "ab"]
+        for step in steps:
+            if step[0] == "entangle":
+                v.entangle_step(*step[1:])
+            else:
+                _, k, obs, outcome, t_happened = step
+                p = routes[route](v, observers[k], obs, outcome, t_happened=t_happened)
+                assert p == v.trace[-1].probability
+        return v, observers
+
+    fired = 0
+    for _ in range(data.draw(st.integers(1, 8), label="steps")):
+        if fired < N_POINTERS and data.draw(st.booleans(), label="entangle"):
+            system = pool[data.draw(st.sampled_from(subs), label="system").name, data.draw(st.booleans())]
+            correlation = {c: f"r{j}" for j, c in enumerate(system.class_names)}
+            program.append(("entangle", system, pointers[fired], correlation))
+            fired += 1
+            continue
+        k = data.draw(st.integers(0, 1), label="observer")
+        sub = data.draw(st.sampled_from(subs + pointers[:fired]), label="subsystem")
+        obs = pool[sub.name, data.draw(st.booleans(), label="degenerate")]
+        v, observers = run(0, program)
+        when = data.draw(st.one_of(st.none(), st.integers(0, v.clock)), label="t_happened")
+        supported = [c for c, p in v.branch_probabilities(observers[k], obs).items() if p > 0.0]
+        for outcome in supported:
+            step = ("observe", k, obs, outcome, when)
+            (fv, forced), (sv, steered) = (run(route, program + [step]) for route in (0, 1))
+            assert _snapshot(fv, forced) == _snapshot(sv, steered)
+            assert [e.probability.hex() for e in fv.trace] == [e.probability.hex() for e in sv.trace]
+        program.append(("observe", k, obs, data.draw(st.sampled_from(supported), label="outcome"), when))
 
 
 def _cost_guard_state():
