@@ -30,6 +30,11 @@ class Truth(enum.Enum):
     INDEFINITE = "indefinite"
 
 
+# ``truth_value`` answers with globals: reading ``Truth.TRUE`` goes through
+# the enum's class attribute lookup, several times slower than a global.
+_TRUE, _FALSE, _INDEFINITE = Truth.TRUE, Truth.FALSE, Truth.INDEFINITE
+
+
 @dataclass(frozen=True, slots=True)
 class Proposition:
     """One fact slot: (subsystem, happening time) asserted to show an outcome."""
@@ -126,9 +131,9 @@ class EventLedger:
             self._catch_up()
         slot = self._slots.get((proposition.subsystem, proposition.t_happened))
         if slot is None or slot[0] > query_time:
-            return Truth.INDEFINITE
+            return _INDEFINITE
         t = slot[1].get(proposition.outcome)
-        return Truth.TRUE if t is not None and t <= query_time else Truth.FALSE
+        return _TRUE if t is not None and t <= query_time else _FALSE
 
     def determination_time(self, proposition: Proposition) -> int | None:
         """Earliest determination time asserting the proposition, else None."""

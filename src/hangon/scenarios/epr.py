@@ -14,6 +14,7 @@ measurement down completely while the other leaves it an even coin flip.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,8 +35,10 @@ _B = Subsystem("B", SPIN_LABELS)
 _RECORD = Subsystem("bob_record", ("ready",) + SPIN_LABELS)
 
 
+@functools.cache
 def singlet_state() -> StateVector:
-    """(|+->-|-+>)/sqrt(2) over particles A and B."""
+    """(|+->-|-+>)/sqrt(2) over particles A and B: built once per process,
+    the same immutable state on every call."""
     return make_state(
         [_A, _B],
         [(("+", "-"), INV_SQRT2), (("-", "+"), -INV_SQRT2)],
@@ -48,8 +51,16 @@ def build_epr_universe(*, with_record: bool = False) -> Universe:
     return Universe(_singlet_with_record() if with_record else singlet_state())
 
 
+@functools.cache
+def _ready_record() -> StateVector:
+    """The partner's record before it has fired, shared like the singlet."""
+    return make_state([_RECORD], [(("ready",), 1.0)])
+
+
 def _singlet_with_record() -> StateVector:
-    return tensor(singlet_state(), make_state([_RECORD], [(("ready",), 1.0)]))
+    """A new product of the shared factors on each call (see README,
+    "Shared scenario states")."""
+    return tensor(singlet_state(), _ready_record())
 
 
 def a_spin() -> Observable:

@@ -18,6 +18,7 @@ that recorded positions cannot depend on the later choice.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,13 +90,29 @@ def branch_amplitudes(bs_present: bool) -> dict[tuple[str, str], complex]:
 
 
 def eraser_state(bs_present: bool) -> StateVector:
-    """The discrete (detector, path) state with or without the beam splitter."""
+    """The discrete (detector, path) state with or without the beam splitter:
+    built once per process for each truth value of ``bs_present``, the same
+    immutable state on every later call."""
+    return _eraser_state(bool(bs_present))
+
+
+# Keyed on a bool: ``functools.cache`` keys ``1`` and ``True`` apart.
+@functools.cache
+def _eraser_state(bs_present: bool) -> StateVector:
     amps = branch_amplitudes(bs_present)
     return make_state([_DETECTOR, _PATH], [((d, p), a) for (d, p), a in amps.items()])
 
 
+@functools.cache
+def _ready_record() -> StateVector:
+    """The signal's record before it has fired, shared like the eraser state."""
+    return make_state([_SIGNAL_RECORD], [(("ready",), 1.0)])
+
+
 def _eraser_state_with_record(bs_present: bool) -> StateVector:
-    return tensor(eraser_state(bs_present), make_state([_SIGNAL_RECORD], [(("ready",), 1.0)]))
+    """A new product of the shared factors on each call (see README,
+    "Shared scenario states")."""
+    return tensor(eraser_state(bs_present), _ready_record())
 
 
 def build_eraser_universe(bs_present: bool, *, record: bool = False) -> Universe:

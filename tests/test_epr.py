@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from hangon import ConfigError, create_universe, outcome_probability
+from hangon import ConfigError, Subsystem, create_universe, make_state, outcome_probability, tensor
 from hangon.rng import RngStream
 from hangon.scenarios import (
     ORDERS,
@@ -15,7 +15,9 @@ from hangon.scenarios import (
     run_partial_pair,
     singlet_state,
 )
+from hangon.scenarios import epr as epr_module
 from hangon.scenarios.epr import (
+    _singlet_with_record,
     a_spin,
     b_spin,
     first_observable,
@@ -24,6 +26,23 @@ from hangon.scenarios.epr import (
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def hex_terms(state):
+    """Every amplitude, in stored order, by the bits of its two parts."""
+    return [(k, v.real.hex(), v.imag.hex()) for k, v in state.terms.items()]
+
+
+def fresh_singlet():
+    spins = ("+", "-")
+    return make_state(
+        [Subsystem("A", spins), Subsystem("B", spins)],
+        [(("+", "-"), INV_SQRT2), (("-", "+"), -INV_SQRT2)],
+    )
+
+
+def fresh_ready_record():
+    return make_state([Subsystem("bob_record", ("ready", "+", "-"))], [(("ready",), 1.0)])
 
 
 class TestSinglet:
@@ -49,6 +68,34 @@ class TestSinglet:
         mine = u.observe(o, a_spin(), rng)
         probs = u.branch_probabilities(o, b_spin())
         assert probs[{"+": "-", "-": "+"}[mine]] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSharedStates:
+    """The singlet and the record's ready state are built once per process;
+    the with-record product is built per call."""
+
+    def test_the_same_singlet_on_every_call(self):
+        assert singlet_state() is singlet_state()
+        assert epr_module._ready_record() is epr_module._ready_record()
+
+    @pytest.mark.parametrize(
+        "cached, fresh",
+        [(singlet_state, fresh_singlet), (epr_module._ready_record, fresh_ready_record)],
+        ids=["singlet", "ready-record"],
+    )
+    def test_shared_state_equals_a_fresh_one(self, cached, fresh):
+        s, f = cached(), fresh()
+        assert s is not f
+        assert s.subsystems == f.subsystems
+        assert hex_terms(s) == hex_terms(f)
+
+    def test_with_record_is_a_new_product_on_each_call(self):
+        first, second = _singlet_with_record(), _singlet_with_record()
+        assert first is not second
+        want = tensor(fresh_singlet(), fresh_ready_record())
+        for s in (first, second):
+            assert s.subsystems == want.subsystems
+            assert hex_terms(s) == hex_terms(want)
 
 
 class TestRunEpr:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
-from hangon import ConfigError, outcome_probability
+from hangon import ConfigError, Subsystem, make_state, outcome_probability, tensor
 from hangon.engine import force_observe
 from hangon.rng import RngStream
 from hangon.scenarios import eraser as eraser_module
@@ -15,6 +15,7 @@ from hangon.scenarios import (
     DETECTORS,
     EraserConfig,
     analytic_joint_by_perspective,
+    branch_amplitudes,
     build_eraser_universe,
     chi_square_two_sample,
     d0_marginal_density,
@@ -35,7 +36,7 @@ from hangon.scenarios import (
     visibility,
     visibility_stderr,
 )
-from hangon.scenarios.eraser import eraser_schedule
+from hangon.scenarios.eraser import _eraser_state_with_record, eraser_schedule
 from hangon.scenarios.geometry import random_geometry
 
 EIGHTH = 1.0 / (2.0 * math.sqrt(2.0))
@@ -50,6 +51,20 @@ IN_PHASE_AMPLITUDES = {
     ("D3", "L"): 0.5,
     ("D4", "U"): 0.5,
 }
+
+
+def hex_terms(state):
+    """Every amplitude, in stored order, by the bits of its two parts."""
+    return [(k, v.real.hex(), v.imag.hex()) for k, v in state.terms.items()]
+
+
+def fresh_eraser_state(bs):
+    subs = [Subsystem("detector", DETECTORS), Subsystem("path", ("U", "L"))]
+    return make_state(subs, list(branch_amplitudes(bs).items()))
+
+
+def fresh_ready_record():
+    return make_state([Subsystem("signal_record", ("ready", "U", "L"))], [(("ready",), 1.0)])
 
 
 def in_phase_joint_density(g) -> np.ndarray:
@@ -85,6 +100,42 @@ class TestDiscreteState:
         for det in DETECTORS:
             p = outcome_probability(s, detector_observable(), det)
             assert p == pytest.approx(0.25, abs=1e-12)
+
+
+class TestSharedStates:
+    """One eraser state per truth value of the beam-splitter flag and one
+    ready record per process; the with-record product is built per call."""
+
+    def test_one_state_per_truth_value(self):
+        assert eraser_state(True) is eraser_state(True)
+        assert eraser_state(1) is eraser_state(True)
+        assert eraser_state(0) is eraser_state(False)
+        assert eraser_state(False) is not eraser_state(True)
+        assert eraser_module._ready_record() is eraser_module._ready_record()
+
+    @pytest.mark.parametrize(
+        "cached, fresh",
+        [
+            (lambda: eraser_state(True), lambda: fresh_eraser_state(True)),
+            (lambda: eraser_state(False), lambda: fresh_eraser_state(False)),
+            (eraser_module._ready_record, fresh_ready_record),
+        ],
+        ids=["bs", "no-bs", "ready-record"],
+    )
+    def test_shared_state_equals_a_fresh_one(self, cached, fresh):
+        s, f = cached(), fresh()
+        assert s is not f
+        assert s.subsystems == f.subsystems
+        assert hex_terms(s) == hex_terms(f)
+
+    @pytest.mark.parametrize("bs", [True, False])
+    def test_with_record_is_a_new_product_on_each_call(self, bs):
+        first, second = _eraser_state_with_record(bs), _eraser_state_with_record(bs)
+        assert first is not second
+        want = tensor(fresh_eraser_state(bs), fresh_ready_record())
+        for s in (first, second):
+            assert s.subsystems == want.subsystems
+            assert hex_terms(s) == hex_terms(want)
 
 
 class TestHangOnBranches:
