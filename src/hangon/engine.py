@@ -23,8 +23,14 @@ filled from several nodes, each time with the same values. The branch also
 remembers the selectors it has survived, its fixed facts: a selector it
 has kept whole once is hung on below any node sharing it without another
 projection, since the branch is immutable and a projection deterministic.
-``observe`` and ``force_observe`` read the cached class weights in place;
-``branch_probabilities`` hands callers a copy. ``observe`` is the one place
+A branch that a projection narrowed starts with the facts of the branch it
+came from and the selectors it was projected through, so the first repeat
+of a narrowing observation projects nothing either.
+``observe`` and ``force_observe`` read the cached class weights in place,
+straight from the observer's memo when it sits at her current node on the
+current global state, so the ``observe`` that ends a forced step finds the
+weights ``force_observe`` just read without another ``conditional_state``
+call; ``branch_probabilities`` hands callers a copy. ``observe`` is the one place
 that maps a uniform draw to a class: ``force_observe`` names the class it
 has checked instead of steering a draw onto it, and ``observe`` hangs on to
 that class without drawing and records it as it records a sampled one.
@@ -217,7 +223,7 @@ class Universe:
             raise ValueError("initial global state must be normalized")
         self._answers = _answers
         self._state = initial
-        self._root = BranchNode(None, None, 0)
+        self._root = _tuple_new(BranchNode, (None, None, 0))
         self._clock = 0
         self._observers: dict[str, ObserverHandle] = {}
         self._trace: list[TraceEntry] = []
@@ -268,11 +274,6 @@ class Universe:
             raise ValueError(f"clock cannot move backwards ({t} < {self._clock})")
         self._clock = t
 
-    def _tick(self) -> int:
-        t = self._clock
-        self._clock = t + 1
-        return t
-
     def _check_registered(self, observer: ObserverHandle) -> None:
         if self._observers.get(observer.id) is not observer:
             raise KeyError(f"observer {observer.id!r} is not registered in this universe")
@@ -297,7 +298,7 @@ class Universe:
             self._state = premeasure(self._state, system_obs, pointer, correlation)
         else:
             self._state = self._answers.premeasure(self._state, system_obs, pointer, correlation)
-        self._tick()
+        self._clock += 1
 
     def conditional_state(self, observer: ObserverHandle) -> StateVector:
         """The global state seen through every selector on the observer's
@@ -312,8 +313,10 @@ class Universe:
         root exactly, and a projection that keeps every term of the cached
         branch gives that branch again: the new node takes over its
         normalization, class weights and fixed facts, and the new selector
-        joins those facts. A selector already among them is not projected
-        again. With an answer table, a miss first looks the new selectors up
+        joins those facts. A projection that drops terms starts a new branch
+        whose fixed facts are the cached branch's plus every selector just
+        projected. A selector already among them is not projected again.
+        With an answer table, a miss first looks the new selectors up
         below the cached node and projects only if no universe of the same
         call has.
         """
@@ -357,7 +360,14 @@ class Universe:
             obs, outcome = node.selector
             fixed[obs] = outcome
         else:
-            conditional, weights, fixed = branch.normalized(), {}, {}
+            # A narrower branch: every selector just projected keeps it
+            # whole, and so does every fact that kept the memo's branch whole.
+            conditional, weights, fixed = branch.normalized(), {}, dict(fixed)
+            walk = node
+            while walk is not stop:
+                obs, outcome = walk.selector
+                fixed[obs] = outcome
+                walk = walk.parent
         if below is None:
             observer._memo = (self._state, node, branch, conditional, weights, fixed, None)
         else:
@@ -367,11 +377,21 @@ class Universe:
 
     def _class_weights(self, observer: ObserverHandle, obs: Observable) -> dict[str, float]:
         """The observer's memoised class weights of ``obs`` at her node,
-        computed on first use. The dict is the cache's own: read it only."""
-        conditional = self.conditional_state(observer)
-        weights = observer._memo[4]
+        computed on first use. The dict is the cache's own: read it only.
+
+        A memo at her current node on the current global state is read
+        directly; anything else goes through ``conditional_state``. Either
+        way the observer's registration is checked first."""
+        memo = observer._memo
+        if memo is None or memo[1] is not observer._node or memo[0] is not self._state:
+            self.conditional_state(observer)
+            memo = observer._memo
+        else:
+            self._check_registered(observer)
+        weights = memo[4]
         probs = weights.get(obs)
         if probs is None:
+            conditional = memo[3]
             probs = {cls: outcome_probability(conditional, obs, cls) for cls in obs.class_names}
             weights[obs] = probs
         return probs
@@ -429,7 +449,8 @@ class Universe:
             assert outcome is not None
         else:
             outcome = _outcome
-        t = self._tick()
+        t = self._clock
+        self._clock = t + 1
         node = observer._node
         observer._node = _tuple_new(BranchNode, (node, (obs, outcome), node.depth + 1))
         name = obs.subsystem.name

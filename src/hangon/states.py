@@ -237,14 +237,6 @@ def _unit_scale(
     return base, 1.0 / math.sqrt(_norm_squared(base))
 
 
-def _pruned(terms: dict[tuple[str, ...], complex]) -> dict[tuple[str, ...], complex]:
-    return {
-        k: v
-        for k, v in terms.items()
-        if (v.real * v.real + v.imag * v.imag) >= PRUNE_THRESHOLD
-    }
-
-
 def make_state(
     subsystems: Sequence[Subsystem],
     terms: Iterable[tuple[Sequence[str], complex]],
@@ -269,15 +261,29 @@ def make_state(
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Product state on the disjoint union of subsystems; norms multiply."""
-    overlap = {s.name for s in a.subsystems} & {s.name for s in b.subsystems}
+    """Product state on the disjoint union of subsystems; norms multiply.
+
+    Products below the pruning floor are dropped as they are built. Every
+    key of ``a`` has one length, so joining keys is injective: each product
+    term is built once, in ``a``-major order.
+    """
+    overlap = a._index.keys() & b._index.keys()
     if overlap:
         raise SubsystemClash(f"subsystems {sorted(overlap)!r} present in both factors")
-    combined: dict[tuple[str, ...], complex] = {}
-    for ka, va in a._terms.items():
-        for kb, vb in b._terms.items():
-            combined[ka + kb] = va * vb
-    return StateVector(a.subsystems + b.subsystems, _pruned(combined))
+    b_terms = b._terms.items()
+    combined = {
+        ka + kb: w
+        for ka, va in a._terms.items()
+        for kb, vb in b_terms
+        if ((w := va * vb).real * w.real + w.imag * w.imag) >= PRUNE_THRESHOLD
+    }
+    # Disjoint factors with distinct names each: no duplicate to check.
+    s = object.__new__(StateVector)
+    s.subsystems = subsystems = a.subsystems + b.subsystems
+    s._index = {sub.name: i for i, sub in enumerate(subsystems)}
+    s._terms = combined
+    s._norm2 = None
+    return s
 
 
 def outcome_probability(s: StateVector, obs: Observable, outcome: str) -> float:
@@ -337,33 +343,43 @@ def premeasure(
     if len(set(targets)) != len(targets):
         raise ValueError("correlation must be injective")
 
-    pointer_labels = {labels[ptr_i] for labels in s._terms}
     ready = pointer.labels[0]
-    if pointer_labels != {ready}:
-        raise PointerNotReady(
-            f"pointer {pointer.name!r} is in labels {sorted(pointer_labels)!r}, "
-            f"expected only its ready label {ready!r}"
-        )
-
-    # System label -> pointer label, for every label whose class is mapped.
+    after = ptr_i + 1
+    # System label -> (pointer label,), for every label whose class is mapped.
     pointer_of = {
-        label: correlation[cls]
+        label: (correlation[cls],)
         for label, cls in system_obs._class_of.items()
         if cls in correlation
     }
-    rewritten: dict[tuple[str, ...], complex] = {}
-    for labels, a in s._terms.items():
-        try:
-            new_label = pointer_of[labels[sys_i]]
-        except KeyError:
-            # class_of raises UnknownLabel for a label the observable lacks.
-            cls = system_obs.class_of(labels[sys_i])
-            raise UnknownOutcome(
-                f"correlation does not cover outcome class {cls!r} (it has support)"
-            ) from None
-        new_labels = labels[:ptr_i] + (new_label,) + labels[ptr_i + 1 :]
-        rewritten[new_labels] = rewritten.get(new_labels, 0j) + a
-    return _derived(s, rewritten)
+    # One pass over the ready terms. A rewrite changes only the pointer
+    # label, which was ready in every one, so it is injective: one new term
+    # per old one, with the same squared modulus, hence the same squared
+    # norm. ``0j + a`` turns a -0.0 part into 0.0.
+    try:
+        rewritten = {
+            labels[:ptr_i] + pointer_of[labels[sys_i]] + labels[after:]: 0j + a
+            for labels, a in s._terms.items()
+            if labels[ptr_i] == ready
+        }
+    except KeyError:
+        rewritten = None
+    if not rewritten or len(rewritten) != len(s._terms):
+        # A term the pass could not rewrite: a pointer that is not ready in
+        # every term is named first, then the first term whose class the
+        # correlation does not cover.
+        pointer_labels = {labels[ptr_i] for labels in s._terms}
+        if pointer_labels != {ready}:
+            raise PointerNotReady(
+                f"pointer {pointer.name!r} is in labels {sorted(pointer_labels)!r}, "
+                f"expected only its ready label {ready!r}"
+            )
+        label = next(labels[sys_i] for labels in s._terms if labels[sys_i] not in pointer_of)
+        # class_of raises UnknownLabel for a label the observable lacks.
+        cls = system_obs.class_of(label)
+        raise UnknownOutcome(f"correlation does not cover outcome class {cls!r} (it has support)")
+    out = _derived(s, rewritten)
+    out._norm2 = s._norm2
+    return out
 
 
 def _fmt17(x: float) -> str:

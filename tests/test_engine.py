@@ -934,6 +934,34 @@ def test_observing_a_fixed_fact_weighs_nothing_again(weighings, projections, tab
     assert u.trace[-1].probability == 1.0
 
 
+@pytest.mark.parametrize("table", [False, True], ids=["own-memo", "answer-table"])
+def test_a_narrowed_branch_starts_with_its_fixed_facts(projections, table):
+    """A projection that drops terms starts a branch that already knows the
+    selector it went through and every fact its parent branch kept whole,
+    so the first repeat of a narrowing observation, or of an older fact,
+    projects nothing; counts calls, so it does not depend on the machine's
+    speed."""
+    state, subs = _cost_guard_state()
+    u = engine.Universe(state, _answers=engine._AnswerTable() if table else None)
+    o = u.register_observer("alice")
+    first, second = label_observable(subs[0]), label_observable(subs[1])
+    before = u.conditional_state(o)
+    for obs in (first, second):
+        probs = u.branch_probabilities(o, obs)
+        outcome = max(probs, key=probs.get)
+        force_observe(u, o, obs, outcome)
+        wider, before = before, u.conditional_state(o)
+        assert before.term_count() < wider.term_count()
+        projections[0] = 0
+        force_observe(u, o, obs, outcome)
+        assert u.conditional_state(o) is before
+        assert projections[0] == 0
+    force_observe(u, o, first, o.path_selectors()[0][1])
+    assert u.conditional_state(o) is before
+    assert projections[0] == 0
+    assert u.conditional_state(o) == _reference_conditional(u, o)
+
+
 def test_a_selector_that_dropped_terms_is_projected_below_a_shared_branch():
     """Two universes share a table. The first hangs a selector that drops
     terms below a node; the second reaches a node sharing that node's
