@@ -14,26 +14,29 @@ Each observer caches her branch state, keyed by the global state it was
 projected from and by her current node: the unnormalized branch, so a query
 projects only through the selectors added since the last one, plus the
 normalized branch and the class weights of every observable asked about at
-that node, so a repeated query on an unchanged path is a lookup. An
-observation of a fact already fixed in her branch changes nothing there:
-when the projection down to a new node drops no term, the new node shares
-its parent's branch, normalization and class-weights dict instead of
-normalizing and weighing the same terms again, so one weights dict can be
-filled from several nodes, each time with the same values. The branch also
-remembers the selectors it has survived, its fixed facts: a selector it
-has kept whole once is hung on below any node sharing it without another
-projection, since the branch is immutable and a projection deterministic.
-A branch that a projection narrowed starts with the facts of the branch it
-came from and the selectors it was projected through, so the first repeat
-of a narrowing observation projects nothing either.
+that node, so a repeated query on an unchanged path is a lookup. The
+branch also remembers its fixed facts, the selectors it keeps whole: one
+of them is not projected again, since the branch is immutable and a
+projection deterministic. A branch that a projection narrowed starts with
+the facts of the branch it came from and the selectors it was projected
+through, so the first repeat of a narrowing observation projects nothing.
+A node reached through selectors that keep the branch whole gets it by one
+rule, ``_hang_on``: the node shares the branch, its normalization, its
+class-weights dict and its fixed facts, so one weights dict can be filled
+from several nodes, each time with the same values. ``observe`` applies
+the rule itself when the chosen class carries the whole weight and is
+among the fixed facts, so a fact observed again costs no query;
+``conditional_state`` applies it when a projection drops no term, and the
+newest selector joins the fixed facts.
 ``observe`` and ``force_observe`` read the cached class weights in place,
 straight from the observer's memo when it sits at her current node on the
 current global state, so the ``observe`` that ends a forced step finds the
 weights ``force_observe`` just read without another ``conditional_state``
-call; ``branch_probabilities`` hands callers a copy. ``observe`` is the one place
-that maps a uniform draw to a class: ``force_observe`` names the class it
-has checked instead of steering a draw onto it, and ``observe`` hangs on to
-that class without drawing and records it as it records a sampled one.
+call; ``branch_probabilities`` hands callers a copy. ``observe`` is the one
+place that maps a uniform draw to a class: ``force_observe`` names the
+class it has checked instead of steering a draw onto it, and ``observe``
+hangs on to that class without drawing and records it as it records a
+sampled one.
 ``entangle_step`` replaces the global state, which makes every cache stale;
 the next query rebuilds it from the root once.
 
@@ -161,9 +164,10 @@ class ObserverHandle:
     and the answers already given there. The fixed classes are the
     selectors the branch is known to keep whole. ``branches below`` is that
     node's entry in the universe's answer table, or None when the universe
-    has no table. A node reached by a projection that dropped no term
-    shares the branch, normalized branch, weights dict and fixed-class dict
-    of the node it was projected from; only ``branches below`` is its own.
+    has no table. A node reached through selectors that keep the branch
+    whole shares the branch, normalized branch, weights dict and
+    fixed-class dict of the node above them; only ``branches below`` is its
+    own.
     """
 
     __slots__ = ("id", "ledger", "_node", "_memo")
@@ -311,11 +315,11 @@ class Universe:
         branch is returned as is. ``project`` keeps the surviving terms'
         amplitudes and order, so the result equals the re-projection from the
         root exactly, and a projection that keeps every term of the cached
-        branch gives that branch again: the new node takes over its
-        normalization, class weights and fixed facts, and the new selector
-        joins those facts. A projection that drops terms starts a new branch
-        whose fixed facts are the cached branch's plus every selector just
-        projected. A selector already among them is not projected again.
+        branch gives that branch again: the new node hangs on to it
+        (``_hang_on``), and the newest selector joins its fixed facts. A
+        projection that drops terms starts a new branch whose fixed facts
+        are the cached branch's plus every selector just projected. A
+        selector already among them is not projected again.
         With an answer table, a miss first looks the new selectors up
         below the cached node and projects only if no universe of the same
         call has.
@@ -331,6 +335,7 @@ class Universe:
             memo = None
             stop, branch, fixed = self._root, self._state, {}
             below = None if self._answers is None else self._answers.branches(branch)
+        selectors = None
         if below is not None:
             selectors = []
             walk = node
@@ -353,25 +358,39 @@ class Universe:
             walk = walk.parent
         if memo is not None and (branch is memo[2] or branch.term_count() == memo[2].term_count()):
             # Nothing was projected, or nothing was dropped, so the branch is
-            # the memo's term for term: carry its normalization, the weights
-            # already asked there and the facts it fixes, and add the newest
-            # selector to those facts.
-            _, _, branch, conditional, weights, fixed, _ = memo
+            # the memo's term for term, and the newest selector joins its facts.
             obs, outcome = node.selector
+            memo[5][obs] = outcome
+            return self._hang_on(observer, memo, node, selectors)
+        # A narrower branch: every selector just projected keeps it whole,
+        # and so does every fact that kept the memo's branch whole.
+        conditional, weights, fixed = branch.normalized(), {}, dict(fixed)
+        walk = node
+        while walk is not stop:
+            obs, outcome = walk.selector
             fixed[obs] = outcome
-        else:
-            # A narrower branch: every selector just projected keeps it
-            # whole, and so does every fact that kept the memo's branch whole.
-            conditional, weights, fixed = branch.normalized(), {}, dict(fixed)
-            walk = node
-            while walk is not stop:
-                obs, outcome = walk.selector
-                fixed[obs] = outcome
-                walk = walk.parent
+            walk = walk.parent
         if below is None:
             observer._memo = (self._state, node, branch, conditional, weights, fixed, None)
         else:
             shared = below[selectors] = (branch, conditional, weights, fixed, {})
+            observer._memo = (self._state, node) + shared
+        return conditional
+
+    def _hang_on(self, observer: ObserverHandle, memo: tuple, node: BranchNode, selectors: tuple | None) -> StateVector:
+        """Move the observer's memo to ``node``, reached from the memo's
+        node through ``selectors``, which keep its branch whole; returns the
+        normalized branch. The node shares the branch, its normalization,
+        class weights and fixed facts. With an answer table it takes the
+        entry for ``selectors`` below the memo's node, made here if no
+        universe of the same call has made it."""
+        _, _, branch, conditional, weights, fixed, below = memo
+        if below is None:
+            observer._memo = (self._state, node, branch, conditional, weights, fixed, None)
+        else:
+            shared = below.get(selectors)
+            if shared is None:
+                shared = below[selectors] = (branch, conditional, weights, fixed, {})
             observer._memo = (self._state, node) + shared
         return conditional
 
@@ -452,7 +471,15 @@ class Universe:
         t = self._clock
         self._clock = t + 1
         node = observer._node
-        observer._node = _tuple_new(BranchNode, (node, (obs, outcome), node.depth + 1))
+        selector = (obs, outcome)
+        observer._node = child = _tuple_new(BranchNode, (node, selector, node.depth + 1))
+        if probs[outcome] == total:
+            # Every other class weighs 0.0. If the branch is known to keep
+            # this class whole, the child hangs on to the same branch.
+            # ``_class_weights`` left the memo at ``node``.
+            memo = observer._memo
+            if memo[5].get(obs) == outcome:
+                self._hang_on(observer, memo, child, (selector,))
         name = obs.subsystem.name
         observer.ledger.record(_proposition(name, outcome, t if t_happened is None else t_happened), t)
         self._observed.add(name)

@@ -60,7 +60,7 @@ class Observable:
     distinct selectors even if they partition identically.
     """
 
-    __slots__ = ("subsystem", "outcome_classes", "class_names", "name", "_class_of", "_members")
+    __slots__ = ("subsystem", "outcome_classes", "class_names", "name", "_class_of", "_members", "_pointer_maps")
 
     def __init__(
         self,
@@ -95,6 +95,11 @@ class Observable:
         self.name = name if name is not None else subsystem.name
         self._class_of = class_of
         self._members = {cls: frozenset(members) for cls, members in classes.items()}
+        # premeasure's checked system label -> (pointer label,) maps, keyed
+        # by the pointer's id and the correlation's items. Each entry holds
+        # its pointer, so that id is not reused while the entry lives. No
+        # state is held.
+        self._pointer_maps: dict[tuple, tuple[Subsystem, dict[str, tuple[str]]]] = {}
 
     def class_of(self, label: str) -> str:
         """Outcome class containing the given label."""
@@ -316,6 +321,29 @@ def project(s: StateVector, obs: Observable, outcome: str) -> StateVector:
     return _derived(s, kept)
 
 
+# Pointer maps one observable keeps; a caller that builds a new pointer for
+# every premeasurement cannot grow the cache past this.
+_POINTER_MAPS_MAX = 64
+
+
+def _pointer_map(system_obs: Observable, pointer: Subsystem, correlation: Mapping[str, str]) -> dict[str, tuple[str]]:
+    """Check a correlation against the observable and the pointer, then map
+    each system label whose class it maps to ``(pointer label,)``."""
+    for cls, label in correlation.items():
+        if cls not in system_obs.outcome_classes:
+            raise UnknownOutcome(f"correlation maps unknown outcome class {cls!r}")
+        if label not in pointer.labels:
+            raise UnknownLabel(f"label {label!r} not declared on pointer {pointer.name!r}")
+    targets = list(correlation.values())
+    if len(set(targets)) != len(targets):
+        raise ValueError("correlation must be injective")
+    return {
+        label: (correlation[cls],)
+        for label, cls in system_obs._class_of.items()
+        if cls in correlation
+    }
+
+
 def premeasure(
     s: StateVector,
     system_obs: Observable,
@@ -329,28 +357,33 @@ def premeasure(
     class of the term's system label). A fired pointer is never re-fired, so
     a record once written is not rewritten. No sampling, no result: this is
     the interaction step that produces an entangled premeasurement state.
+
+    The observable keeps the checked label map of each pointer and
+    correlation it has premeasured, so a later call with the same pointer
+    and an equal correlation skips the checks. It keeps no state.
     """
     sys_i = s.subsystem_index(system_obs.subsystem.name)
     ptr_i = s.subsystem_index(pointer.name)
     if sys_i == ptr_i:
         raise ValueError("pointer and measured subsystem must differ")
-    for cls, label in correlation.items():
-        if cls not in system_obs.outcome_classes:
-            raise UnknownOutcome(f"correlation maps unknown outcome class {cls!r}")
-        if label not in pointer.labels:
-            raise UnknownLabel(f"label {label!r} not declared on pointer {pointer.name!r}")
-    targets = list(correlation.values())
-    if len(set(targets)) != len(targets):
-        raise ValueError("correlation must be injective")
+    maps = system_obs._pointer_maps
+    try:
+        key = (id(pointer), tuple(correlation.items()))
+        hit = maps.get(key)
+    except TypeError:  # unhashable items: check and build as below, uncached
+        key = hit = None
+    # A copied observable's keys name the original pointers, hence the test.
+    if hit is None or hit[0] is not pointer:
+        pointer_of = _pointer_map(system_obs, pointer, correlation)
+        if key is not None:
+            if len(maps) >= _POINTER_MAPS_MAX:
+                maps.clear()
+            maps[key] = (pointer, pointer_of)
+    else:
+        pointer_of = hit[1]
 
     ready = pointer.labels[0]
     after = ptr_i + 1
-    # System label -> (pointer label,), for every label whose class is mapped.
-    pointer_of = {
-        label: (correlation[cls],)
-        for label, cls in system_obs._class_of.items()
-        if cls in correlation
-    }
     # One pass over the ready terms. A rewrite changes only the pointer
     # label, which was ready in every one, so it is injective: one new term
     # per old one, with the same squared modulus, hence the same squared

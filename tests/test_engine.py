@@ -962,6 +962,40 @@ def test_a_narrowed_branch_starts_with_its_fixed_facts(projections, table):
     assert u.conditional_state(o) == _reference_conditional(u, o)
 
 
+@pytest.mark.parametrize("table", [False, True], ids=["own-memo", "answer-table"])
+def test_a_fixed_fact_hangs_on_inside_observe(monkeypatch, projections, table):
+    """Observing again a fact the branch already keeps whole moves the
+    observer's memo to the new node inside ``observe``: a repeat makes no
+    ``conditional_state`` call and no projection, and the next query still
+    equals the from-root re-projection. With a table, a second universe
+    walks the same path through the entries the first one wrote. Counts
+    calls, so it does not depend on the machine's speed."""
+    queries = [0]
+    real_conditional_state = engine.Universe.conditional_state
+
+    def counting_conditional_state(self, observer):
+        queries[0] += 1
+        return real_conditional_state(self, observer)
+
+    monkeypatch.setattr(engine.Universe, "conditional_state", counting_conditional_state)
+    state, subs = _cost_guard_state()
+    shared = engine._AnswerTable() if table else None
+    labels = [label_observable(sub) for sub in subs[:2]]
+    for seed in (5, 6) if table else (5,):
+        u = engine.Universe(state, _answers=shared)
+        o = u.register_observer("alice")
+        for obs in labels:
+            force_observe(u, o, obs, "l0")
+        u.conditional_state(o)
+        queries[0] = projections[0] = 0
+        rng = RngStream(seed)
+        for step in range(40):
+            assert u.observe(o, labels[step % 2], rng) == "l0"
+        assert queries[0] == 0
+        assert projections[0] == 0
+        assert u.conditional_state(o) == _reference_conditional(u, o)
+
+
 def test_a_selector_that_dropped_terms_is_projected_below_a_shared_branch():
     """Two universes share a table. The first hangs a selector that drops
     terms below a node; the second reaches a node sharing that node's

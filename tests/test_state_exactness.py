@@ -8,6 +8,7 @@ unnormalised and hold tiny amplitudes and signed zeros.
 """
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from hangon import (
     StateVector,
     Subsystem,
     SubsystemClash,
+    UnknownLabel,
     UnknownOutcome,
     label_observable,
     make_state,
@@ -176,3 +178,50 @@ def test_an_unfired_pointer_on_a_normalised_state_keeps_its_norm():
     s.norm_squared()
     out = premeasure(s, label_observable(spin), needle, {"+": "up", "-": "down"})
     assert out._norm2 == s.norm_squared() == math.fsum(abs(a) ** 2 for a in out.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_states("s", pointer=_POINTER), st.data())
+def test_a_kept_pointer_map_gives_what_the_checks_give(s, data):
+    """One observable premeasures several times with equal correlations in
+    fresh dicts, as every fresh universe's ``entangle_step`` does; every
+    call gives the two-pass build's terms or its error, refusals included.
+    A correlation whose items cannot be hashed is checked as before."""
+    obs = label_observable(data.draw(st.sampled_from(s.subsystems[:-1]), label="system"))
+    classes = data.draw(st.lists(st.sampled_from(obs.class_names), unique=True, min_size=1), label="mapped")
+    targets = data.draw(st.permutations(_POINTER.labels), label="targets")
+    if data.draw(st.booleans(), label="bad label"):
+        targets[0] = "nowhere"
+    want = _outcome(_two_pass_premeasure_checked, s, obs, _POINTER, dict(zip(classes, targets)))
+    for _ in range(3):
+        assert _outcome(premeasure, s, obs, _POINTER, dict(zip(classes, targets))) == want
+    unhashable = {classes[0]: [targets[0]]}
+    assert _outcome(premeasure, s, obs, _POINTER, unhashable) == (
+        UnknownLabel, f"label {[targets[0]]!r} not declared on pointer 'ptr'"
+    )
+
+
+def _two_pass_premeasure_checked(s, system_obs, pointer, correlation):
+    """The correlation checks that come before the two-pass build."""
+    for cls, label in correlation.items():
+        if label not in pointer.labels:
+            raise UnknownLabel(f"label {label!r} not declared on pointer {pointer.name!r}")
+    return _two_pass_premeasure(s, system_obs, pointer, correlation)
+
+
+def test_a_kept_pointer_map_keeps_no_state_and_no_stale_pointer():
+    """The kept map holds its pointer, so a new pointer never takes the id
+    of one whose map is kept: a pointer that lacks a label is refused each
+    time. Neither the input state nor the result gains a reference, and
+    the number of kept maps stays bounded."""
+    spin = Subsystem("spin", ("+", "-"))
+    s = make_state([spin, Subsystem("p", ("ready", "up", "down"))], [(("+", "ready"), 0.6), (("-", "ready"), 0.8)])
+    obs = label_observable(spin)
+    refs = sys.getrefcount(s)
+    for _ in range(200):
+        out = premeasure(s, obs, Subsystem("p", ("ready", "up", "down")), {"+": "up", "-": "down"})
+        assert sys.getrefcount(out) == 2
+        with pytest.raises(UnknownLabel, match="'up' not declared"):
+            premeasure(s, obs, Subsystem("p", ("ready", "left", "right")), {"+": "up", "-": "down"})
+    assert sys.getrefcount(s) == refs
+    assert len(obs._pointer_maps) <= 64
