@@ -157,10 +157,12 @@ _ops = st.lists(
 def _assert_matches_scan(ledger, first):
     records = ledger.records
     times = sorted({-1} | {r.t_determined + d for r in records for d in (-1, 0, 1)})
+    # No record names "s_never", "never" or t_happened 3, so each query
+    # round also misses at the subsystem, the happening time and the outcome.
     props = [
         Proposition(sub, outcome, t_hap)
-        for sub in SUBSYSTEMS
-        for t_hap in range(3)
+        for sub in SUBSYSTEMS + ("s_never",)
+        for t_hap in range(4)
         for outcome in OUTCOMES + ("never",)
     ]
     if first == "truth":

@@ -3,17 +3,20 @@
 A change meant to make the engine faster must leave every seeded output as
 it was, byte for byte. These digests pin outputs that run only the engine,
 the state algebra and the scalar random stream: sampled counts and exact
-joints of the EPR and partial-pair scenarios, and the needle narrative's
-trace and ledger. Eraser outputs are left out, since numpy's transcendental
+joints of the EPR and partial-pair scenarios, the needle narrative's trace
+and ledger, and a seeded sweep of ledger truth values. Eraser outputs are left out, since numpy's transcendental
 kernels may round differently on another CPU. A digest that no longer
 matches means the change altered what a seed produces; find out why before
 pinning a new value.
 """
 import hashlib
+import itertools
 import json
 
 import pytest
 
+from hangon import Proposition, Subsystem, Universe, label_observable, make_state
+from hangon.rng import RngStream
 from hangon.scenarios import epr
 from hangon.scenarios.narrative import run_needle_narrative
 
@@ -40,7 +43,41 @@ PINNED = {
     "partial_pair": "47bac1a332bc9edb532feeb7acb27ef99c2cbe9d65029eeb1ccc21592c06b8ab",
     "needle-trace": "f6848c8716331e2e5b7889feff87b82bf84fcf3d15d5993ad393a7d4e7170bd3",
     "needle-ledger": "88a169e8036d47820e6d6b059ba243cdde84a942bb896256e879ee52059e8ee2",
+    "truth-sweep": "a61c37b0bf8bcf2db36c42fe6baf3f220fecb8d6bae91f33ef3301701ca2762f",
 }
+
+
+def _truth_sweep(seed: int) -> str:
+    """Two observers make 300 seeded label observations on a random
+    3-subsystem state, some dated in the past and some repeated at once;
+    then each ledger answers for every slot either ledger recorded, every
+    label and every query time from 0 to the clock + 1, one line per
+    (observer, slot, label). Label observables only: a degenerate class can
+    still make a slot's truth revert (ROADMAP item 3)."""
+    rng = RngStream(seed)
+    subs = [Subsystem(f"s{i}", ("l0", "l1", "l2")) for i in range(3)]
+    keys = itertools.product(*(s.labels for s in subs))
+    terms = [(k, complex(rng.random() - 0.5, rng.random() - 0.5)) for k in keys if rng.random() < 0.6]
+    u = Universe(make_state(subs, terms))
+    observers = [u.register_observer("o0"), u.register_observer("o1")]
+    pool = [label_observable(s) for s in subs]
+    draws = rng.derive(0)
+    n = 0
+    while n < 300:
+        o = observers[rng.random() < 0.5]
+        obs = pool[int(rng.random() * 3)]
+        t_happened = int(rng.random() * (u.clock + 1)) if rng.random() < 0.3 else None
+        for _ in range(1 + (rng.random() < 0.3)):
+            u.observe(o, obs, draws, t_happened)
+            n += 1
+    slots = sorted({(r.proposition.subsystem, r.proposition.t_happened) for o in observers for r in o.ledger.records})
+    times = range(u.clock + 2)
+    return "\n".join(
+        " ".join(o.ledger.truth_value(Proposition(sub, label, t_happened), t).value for t in times)
+        for o in observers
+        for sub, t_happened in slots
+        for label in ("l0", "l1", "l2")
+    )
 
 
 def _output(name: str) -> str:
@@ -48,6 +85,8 @@ def _output(name: str) -> str:
         return _run_text(epr.run_epr(name[len("epr-"):], 4000, 3))
     if name == "partial_pair":
         return _run_text(epr.run_partial_pair(4000, 3))
+    if name == "truth-sweep":
+        return _truth_sweep(2727)
     story = run_needle_narrative(5)
     return story.universe.trace_json() if name == "needle-trace" else story.ledger.to_json_lines()
 
