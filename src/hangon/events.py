@@ -9,10 +9,12 @@ never reverts.
 
 Recording is one list append of a ``(proposition, t_determined)`` pair;
 the ``EventRecord``s are built only when ``records`` or ``to_json_lines``
-reads the ledger. Each ledger keeps an index from fact slot to the first
-determination of the slot and of each outcome asserted for it; a query
-first extends that index over the records appended since the last query,
-then answers with two dict lookups, whatever the ledger's length.
+reads the ledger. Each ledger keeps a two-level index, from subsystem to
+happening time, that gives each fact slot's first determination and the
+first determination of each outcome asserted for it. A query first extends
+that index over the records appended since the last query, then answers
+with three dict lookups (subsystem, happening time, outcome) and builds no
+key, whatever the ledger's length.
 """
 from __future__ import annotations
 
@@ -33,6 +35,12 @@ class Truth(enum.Enum):
 # ``truth_value`` answers with globals: reading ``Truth.TRUE`` goes through
 # the enum's class attribute lookup, several times slower than a global.
 _TRUE, _FALSE, _INDEFINITE = Truth.TRUE, Truth.FALSE, Truth.INDEFINITE
+
+# A ledger's slots of a subsystem it has never recorded: read, never written.
+# A query looks the happening time up here too, so it hashes that time
+# whether or not the subsystem is known, as a ``(subsystem, t_happened)``
+# key would.
+_NO_SLOTS: dict = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,10 +83,12 @@ class EventLedger:
     """Append-only, per-observer; sorted by determination time.
 
     ``record`` appends a ``(proposition, t_determined)`` pair and indexes
-    nothing. ``_slots`` maps each fact slot ``(subsystem, t_happened)`` to
-    ``(first t_determined, {outcome: first t_determined})`` over the first
-    ``_indexed`` records; a query extends it over the rest, so a ledger that
-    is never queried never builds it, and each query costs two dict lookups.
+    nothing. ``_slots`` maps each subsystem to ``{t_happened: (first
+    t_determined, {outcome: first t_determined})}``, one entry per fact
+    slot, over the first ``_indexed`` records; a query extends it over the
+    rest, so a ledger that is never queried never builds it. A query looks
+    up the subsystem, then the happening time, then the outcome; it builds
+    no ``(subsystem, t_happened)`` key.
     """
 
     __slots__ = ("observer_id", "_records", "_slots", "_indexed")
@@ -86,7 +96,7 @@ class EventLedger:
     def __init__(self, observer_id: str):
         self.observer_id = observer_id
         self._records: list[tuple[Proposition, int]] = []
-        self._slots: dict[tuple[str, int], tuple[int, dict[str, int]]] = {}
+        self._slots: dict[str, dict[int, tuple[int, dict[str, int]]]] = {}
         self._indexed = 0
 
     @property
@@ -112,12 +122,19 @@ class EventLedger:
 
         Records arrive in non-decreasing determination time, so the first
         time a slot or an outcome is seen is its earliest determination.
-        ``setdefault`` keeps that true when two queries catch up at once.
+        ``setdefault`` keeps that true when two queries catch up at once; it
+        runs only where ``get`` missed, so no record builds a spare dict.
         """
         end = len(self._records)
         slots = self._slots
         for p, t in self._records[self._indexed : end]:
-            slots.setdefault((p.subsystem, p.t_happened), (t, {}))[1].setdefault(p.outcome, t)
+            times = slots.get(p.subsystem)
+            if times is None:
+                times = slots.setdefault(p.subsystem, {})
+            slot = times.get(p.t_happened)
+            if slot is None:
+                slot = times.setdefault(p.t_happened, (t, {}))
+            slot[1].setdefault(p.outcome, t)
         self._indexed = end
 
     def truth_value(self, proposition: Proposition, query_time: int) -> Truth:
@@ -129,7 +146,7 @@ class EventLedger:
         """
         if self._indexed < len(self._records):
             self._catch_up()
-        slot = self._slots.get((proposition.subsystem, proposition.t_happened))
+        slot = self._slots.get(proposition.subsystem, _NO_SLOTS).get(proposition.t_happened)
         if slot is None or slot[0] > query_time:
             return _INDEFINITE
         t = slot[1].get(proposition.outcome)
@@ -139,7 +156,7 @@ class EventLedger:
         """Earliest determination time asserting the proposition, else None."""
         if self._indexed < len(self._records):
             self._catch_up()
-        slot = self._slots.get((proposition.subsystem, proposition.t_happened))
+        slot = self._slots.get(proposition.subsystem, _NO_SLOTS).get(proposition.t_happened)
         return None if slot is None else slot[1].get(proposition.outcome)
 
     def to_json_lines(self) -> str:

@@ -191,7 +191,8 @@ def detector_conditional_given_bin(
     """Row-stochastic (bin, detector) matrix: which detector the idler twin
     lands in, given the signal photon's recorded position.
 
-    ``run_eraser`` passes the ``joint_density`` it already holds as ``_rho``.
+    Callers that hold ``joint_density(bs_present, g)`` already pass it as
+    ``_rho``.
     """
     rho = joint_density(bs_present, g) if _rho is None else _rho
     col = rho.sum(axis=0)
@@ -201,8 +202,9 @@ def detector_conditional_given_bin(
 def no_signaling_check(g: SlitGeometry) -> float:
     """Max pointwise difference of the screen marginal with and without the
     beam splitter; the pairwise fringe cancellation makes this vanish."""
-    with_bs = joint_density(True, g).sum(axis=0)
-    without = joint_density(False, g).sum(axis=0)
+    modes = slit_mode_vectors(g)
+    with_bs = joint_density(True, g, _modes=modes).sum(axis=0)
+    without = joint_density(False, g, _modes=modes).sum(axis=0)
     return float(np.max(np.abs(with_bs - without)))
 
 
@@ -300,6 +302,7 @@ def analytic_joint_by_perspective(
     _check_perspective(perspective)
     if perspective == "idler_first":
         return joint_density(bs_present, g)
-    marginal = d0_marginal_density(g)
-    cond = detector_conditional_given_bin(bs_present, g)
+    modes = slit_mode_vectors(g)
+    marginal = d0_marginal_density(g, _modes=modes)
+    cond = detector_conditional_given_bin(bs_present, g, _rho=joint_density(bs_present, g, _modes=modes))
     return (cond * marginal[:, None]).T

@@ -232,6 +232,19 @@ class TestJointDensity:
         for _ in range(25):
             assert no_signaling_check(random_geometry(rng)) <= 1e-12
 
+    def test_modes_computed_once_give_the_same_arrays(self):
+        # The no-signaling check and the signal-first joint compute the slit
+        # modes once; each must equal the build that computes them per call.
+        rng = RngStream(2718)
+        for g in [default_geometry()] + [random_geometry(rng) for _ in range(16)]:
+            with_bs = joint_density(True, g).sum(axis=0)
+            without = joint_density(False, g).sum(axis=0)
+            assert no_signaling_check(g) == float(np.max(np.abs(with_bs - without)))
+            for bs in (True, False):
+                cond = detector_conditional_given_bin(bs, g)
+                want = (cond * d0_marginal_density(g)[:, None]).T
+                assert np.array_equal(analytic_joint_by_perspective(bs, g, "signal_first"), want)
+
     def test_single_branch_degenerate_state_trivially_signals_nothing(self):
         # One detector, one path: both configurations collapse to the same
         # single-envelope density.

@@ -79,6 +79,24 @@ def test_determination_time_queries():
     assert ledger.determination_time(Proposition("needle", "down", SUNDAY_11)) is None
 
 
+def test_slot_keys_compare_as_a_pair_would():
+    """Happening times that compare equal name one slot, as they would in a
+    ``(subsystem, t_happened)`` key; an unhashable time is refused, on a
+    subsystem the ledger has recorded or not."""
+    ledger = EventLedger("alice")
+    ledger.record(Proposition("needle", "up", 1), t_determined=2)
+    for t_hap in (1, True, 1.0):
+        assert ledger.truth_value(Proposition("needle", "up", t_hap), 2) is Truth.TRUE
+        assert ledger.truth_value(Proposition("needle", "down", t_hap), 2) is Truth.FALSE
+        assert ledger.determination_time(Proposition("needle", "up", t_hap)) == 2
+    assert ledger.truth_value(Proposition("needle", "up", 0), 2) is Truth.INDEFINITE
+    for sub in ("needle", "never"):
+        with pytest.raises(TypeError):
+            ledger.truth_value(Proposition(sub, "up", [1]), 2)
+        with pytest.raises(TypeError):
+            ledger.determination_time(Proposition(sub, "up", [1]))
+
+
 def test_json_lines_export():
     ledger = EventLedger("alice")
     ledger.record(Proposition("needle", "up", SUNDAY_11), t_determined=MONDAY_NOON)
