@@ -4,10 +4,10 @@ A change meant to make the engine faster must leave every seeded output as
 it was, byte for byte. These digests pin outputs that run only the engine,
 the state algebra and the scalar random stream: sampled counts and exact
 joints of the EPR and partial-pair scenarios, the needle narrative's trace
-and ledger, and a seeded sweep of ledger truth values. Eraser outputs are left out, since numpy's transcendental
-kernels may round differently on another CPU. A digest that no longer
-matches means the change altered what a seed produces; find out why before
-pinning a new value.
+and ledger, and a seeded sweep of ledger truth values. Eraser outputs are
+left out, since numpy's transcendental kernels may round differently on
+another CPU. A digest that no longer matches means the change altered what
+a seed produces; find out why before pinning a new value.
 """
 import hashlib
 import itertools
@@ -70,7 +70,8 @@ def _truth_sweep(seed: int) -> str:
         for _ in range(1 + (rng.random() < 0.3)):
             u.observe(o, obs, draws, t_happened)
             n += 1
-    slots = sorted({(r.proposition.subsystem, r.proposition.t_happened) for o in observers for r in o.ledger.records})
+    recorded = [r.proposition for o in observers for r in o.ledger.records]
+    slots = sorted({(p.subsystem, p.t_happened) for p in recorded})
     times = range(u.clock + 2)
     return "\n".join(
         " ".join(o.ledger.truth_value(Proposition(sub, label, t_happened), t).value for t in times)
