@@ -28,15 +28,18 @@ the rule itself when the chosen class carries the whole weight and is
 among the fixed facts, so a fact observed again costs no query;
 ``conditional_state`` applies it when a projection drops no term, and the
 newest selector joins the fixed facts.
-``observe`` and ``force_observe`` read the cached class weights in place,
-straight from the observer's memo when it sits at her current node on the
-current global state, so the ``observe`` that ends a forced step finds the
-weights ``force_observe`` just read without another ``conditional_state``
-call; ``branch_probabilities`` hands callers a copy. ``observe`` is the one
-place that maps a uniform draw to a class: ``force_observe`` names the
-class it has checked instead of steering a draw onto it, and ``observe``
-hangs on to that class without drawing and records it as it records a
-sampled one.
+The weights dict maps each observable to its split, built once in one
+pass over its classes: the class weights, their total, the positive
+classes in class order and their running sums. ``observe`` and
+``force_observe`` read the split in place, straight from the observer's
+memo when it sits at her current node on the current global state, so the
+``observe`` that ends a forced step finds the split ``force_observe`` just
+read without another ``conditional_state`` call; ``branch_probabilities``
+hands callers a copy of the weights. ``observe`` is the one place that
+maps a uniform draw to a class, by a binary search of the running sums:
+``force_observe`` names the class it has checked instead of steering a
+draw onto it, and ``observe`` hangs on to that class without drawing and
+records it as it records a sampled one.
 ``entangle_step`` replaces the global state, which makes every cache stale;
 the next query rebuilds it from the root once.
 
@@ -47,25 +50,26 @@ created when the call starts and dropped when it returns; the trials of
 every trial or forced walk over the same initial state would otherwise
 compute again: each premeasurement, keyed by its input global state and
 entangle step, and for each global state and selector path the
-unnormalized branch, the normalized branch and the class weights per
-observable. An observer's cache is filled from the table on a miss before
-anything is projected, and the table is written after a projection, so
-``observe``, the draws, the clock, the ledger and the trace run as they do
-without it. A Universe built without a table keeps nothing beyond its
-observers' caches.
+unnormalized branch, the normalized branch and the split per observable.
+An observer's cache is filled from the table on a miss before anything is
+projected, and the table is written after a projection, so ``observe``,
+the draws, the clock, the ledger and the trace run as they do without it.
+A Universe built without a table keeps nothing beyond its observers'
+caches.
 
 A Universe and its observers form one mutation domain driven by a single
 thread of control. The queries (conditional_state, branch_probabilities)
 write only the queried observer's cache, never the global state or another
-observer; that write is idempotent (one cache per observer, and a weights
-dict or fixed-facts dict that several nodes share gets the same values
-from each), so the queries may run concurrently between mutations.
+observer; that write is idempotent (one cache per observer, and a split
+dict or fixed-facts dict that several nodes share gets equal splits and
+the same facts from each), so the queries may run concurrently between mutations.
 Distinct universes with distinct seeds parallelize freely.
 """
 from __future__ import annotations
 
 import json
 import operator
+from bisect import bisect_right
 from typing import Mapping, NamedTuple
 
 from .errors import AllOutcomesForbidden, DuplicateObserver, EmptyBranch, PointerNotReady, UnknownOutcome
@@ -97,6 +101,11 @@ _FORBIDDEN_TOL = 1e-12
 # EventRecords only when read.
 _tuple_new = tuple.__new__
 
+# An observable's split at one branch: its class weights, their total, the
+# classes of positive weight in class order and their running sums. Built
+# once by ``_class_weights`` and never mutated afterwards.
+_Split = tuple[dict[str, float], float, list[str], list[float]]
+
 
 class BranchNode(NamedTuple):
     """One hung-on selector; the root carries no selector."""
@@ -122,9 +131,9 @@ class _AnswerTable:
 
     ``branches(state)`` is a dict from the selectors a projection went
     through, in walk order, to ``(unnormalized branch, normalized branch,
-    {observable: class weights}, {observable: fixed class}, branches below
-    it)``. Every value holds the objects whose ids key it, so no id is
-    reused while the table lives.
+    {observable: split}, {observable: fixed class}, branches below it)``.
+    Every value holds the objects whose ids key it, so no id is reused
+    while the table lives.
     """
 
     __slots__ = ("_premeasured", "_roots")
@@ -158,14 +167,14 @@ class ObserverHandle:
     """An observer's identity, current branch node, and event ledger.
 
     ``_memo`` caches ``(global state, node, unnormalized branch, normalized
-    branch, {observable: class weights}, {observable: fixed class}, branches
+    branch, {observable: split}, {observable: fixed class}, branches
     below)``: the global state projected through every selector from the
     root down to ``node``, an ancestor of (or equal to) the current node,
     and the answers already given there. The fixed classes are the
     selectors the branch is known to keep whole. ``branches below`` is that
     node's entry in the universe's answer table, or None when the universe
     has no table. A node reached through selectors that keep the branch
-    whole shares the branch, normalized branch, weights dict and
+    whole shares the branch, normalized branch, split dict and
     fixed-class dict of the node above them; only ``branches below`` is its
     own.
     """
@@ -182,7 +191,7 @@ class ObserverHandle:
                 BranchNode,
                 StateVector,
                 StateVector,
-                dict[Observable, dict[str, float]],
+                dict[Observable, _Split],
                 dict[Observable, str],
                 dict | None,
             ]
@@ -381,7 +390,7 @@ class Universe:
         """Move the observer's memo to ``node``, reached from the memo's
         node through ``selectors``, which keep its branch whole; returns the
         normalized branch. The node shares the branch, its normalization,
-        class weights and fixed facts. With an answer table it takes the
+        splits and fixed facts. With an answer table it takes the
         entry for ``selectors`` below the memo's node, made here if no
         universe of the same call has made it."""
         _, _, branch, conditional, weights, fixed, below = memo
@@ -394,9 +403,9 @@ class Universe:
             observer._memo = (self._state, node) + shared
         return conditional
 
-    def _class_weights(self, observer: ObserverHandle, obs: Observable) -> dict[str, float]:
-        """The observer's memoised class weights of ``obs`` at her node,
-        computed on first use. The dict is the cache's own: read it only.
+    def _class_weights(self, observer: ObserverHandle, obs: Observable) -> _Split:
+        """The observer's memoised split of ``obs`` at her node, built on
+        first use. The split is the cache's own: read it only.
 
         A memo at her current node on the current global state is read
         directly; anything else goes through ``conditional_state``. Either
@@ -408,12 +417,19 @@ class Universe:
         else:
             self._check_registered(observer)
         weights = memo[4]
-        probs = weights.get(obs)
-        if probs is None:
+        split = weights.get(obs)
+        if split is None:
             conditional = memo[3]
-            probs = {cls: outcome_probability(conditional, obs, cls) for cls in obs.class_names}
-            weights[obs] = probs
-        return probs
+            probs, classes, running, acc = {}, [], [], 0.0
+            for cls in obs.class_names:
+                p = probs[cls] = outcome_probability(conditional, obs, cls)
+                if p > 0.0:
+                    acc += p
+                    classes.append(cls)
+                    running.append(acc)
+            # ``sum`` keeps a NaN weight in the total, so ``observe`` refuses it.
+            split = weights[obs] = (probs, sum(probs.values()), classes, running)
+        return split
 
     def branch_probabilities(self, observer: ObserverHandle, obs: Observable) -> dict[str, float]:
         """The sampling distribution ``observe`` would draw from, untouched.
@@ -421,7 +437,7 @@ class Universe:
         Computed once per observable at each node of the observer's path;
         every call returns a fresh copy of the cached weights.
         """
-        return dict(self._class_weights(observer, obs))
+        return dict(self._class_weights(observer, obs)[0])
 
     def observe(
         self,
@@ -445,27 +461,30 @@ class Universe:
         supported, hung on to without a draw (``rng`` is not read).
         """
         if t_happened is not None:
-            if type(t_happened) is bool:
-                raise TypeError(f"t_happened must be an integer, not {t_happened!r}")
-            t_happened = operator.index(t_happened)
+            if type(t_happened) is not int:
+                if type(t_happened) is bool:
+                    raise TypeError(f"t_happened must be an integer, not {t_happened!r}")
+                t_happened = operator.index(t_happened)
             if t_happened > self._clock:
                 raise ValueError(f"t_happened={t_happened} is after its determination at t={self._clock}")
-        probs = self._class_weights(observer, obs)
-        total = sum(probs.values())
+        memo = observer._memo
+        if (
+            memo is not None
+            and memo[1] is observer._node
+            and memo[0] is self._state
+            and self._observers.get(observer.id) is observer
+        ):
+            split = memo[4].get(obs) or self._class_weights(observer, obs)
+        else:
+            split = self._class_weights(observer, obs)
+        probs, total, classes, running = split
         if not total > _FORBIDDEN_TOL:  # a NaN total fails too
             raise AllOutcomesForbidden(f"no outcome of {obs.name!r} has support in this branch")
         if _outcome is None:
-            u = rng.random() * total
-            acc = 0.0
-            outcome = None
-            for cls in obs.class_names:
-                p = probs[cls]
-                if p > 0.0:
-                    acc += p
-                    outcome = cls
-                    if u < acc:
-                        break
-            assert outcome is not None
+            # The first positive class whose running sum exceeds the draw,
+            # or the last one when rounding leaves the draw above them all.
+            i = bisect_right(running, rng.random() * total)
+            outcome = classes[i] if i < len(classes) else classes[-1]
         else:
             outcome = _outcome
         t = self._clock
@@ -476,7 +495,7 @@ class Universe:
         if probs[outcome] == total:
             # Every other class weighs 0.0. If the branch is known to keep
             # this class whole, the child hangs on to the same branch.
-            # ``_class_weights`` left the memo at ``node``.
+            # The split was read from the memo at ``node``.
             memo = observer._memo
             if memo[5].get(obs) == outcome:
                 self._hang_on(observer, memo, child, (selector,))
@@ -528,7 +547,7 @@ def force_observe(
     lacks raises UnknownOutcome, and forcing a zero-probability outcome
     raises EmptyBranch: nothing can hang on to an unsupported branch.
     """
-    p = universe._class_weights(observer, obs).get(outcome)
+    p = universe._class_weights(observer, obs)[0].get(outcome)
     if p is None:
         raise UnknownOutcome(f"unknown outcome class {outcome!r} on {obs.name!r}")
     if p <= 0.0:

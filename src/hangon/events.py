@@ -108,10 +108,12 @@ class EventLedger:
     def record(self, proposition: Proposition, t_determined: int) -> None:
         """Append one determination; determination times are integers, not
         bools, and must not decrease."""
-        # ``operator.index`` takes a bool as 0 or 1.
-        if type(t_determined) is bool:
-            raise TypeError(f"t_determined must be an integer, not {t_determined!r}")
-        t = operator.index(t_determined)
+        t = t_determined
+        if type(t) is not int:
+            # ``operator.index`` takes a bool as 0 or 1.
+            if type(t) is bool:
+                raise TypeError(f"t_determined must be an integer, not {t!r}")
+            t = operator.index(t)
         records = self._records
         if records and t < records[-1][1]:
             raise OutOfOrderDetermination(f"t_determined {t} precedes last recorded {records[-1][1]}")

@@ -108,12 +108,11 @@ class TestUniverseBasics:
 
     def test_nan_weights_are_refused_before_the_draw(self, monkeypatch):
         # total <= tolerance is False for a NaN total, and observe then
-        # failed on a bare assert after drawing.
+        # failed on a bare assert after drawing. The NaN enters where the
+        # engine weighs each class, so the split is built from it.
         u = singlet_universe()
         o = u.register_observer("alice")
-        monkeypatch.setattr(
-            engine.Universe, "_class_weights", lambda self, observer, obs: dict.fromkeys(obs.class_names, math.nan)
-        )
+        monkeypatch.setattr(engine, "outcome_probability", lambda state, obs, cls: math.nan)
         rng = RngStream(3)
         with pytest.raises(AllOutcomesForbidden):
             u.observe(o, A_SPIN, rng)
