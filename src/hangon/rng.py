@@ -21,18 +21,22 @@ search for most keys. It takes one sorted table or a stack of equal-length
 sorted tables with a row index per key, so the idler-first eraser finds every
 photon's screen bin in its own detector's cdf in one call. A table of at most
 eight entries is answered by counting the entries that sort before each key,
-with the comparison NumPy's NaN-last order uses. A longer table reads most
-keys from a bucket table. That is exact because each row's bucket map is
-monotone: every floating-point step in it is, so an entry in a lower bucket
-than a key is below the key, one in a higher bucket is above it, and only the
-entries in the key's own bucket need comparing. Every case neither path
-covers falls back to ``np.searchsorted`` on the key's own row: a bucket with
-two or more entries, NaN keys, a row without a finite positive span or
-holding NaN, tables of 9 to 63 entries, and calls with fewer keys than
-buckets.
+with the comparison NumPy's NaN-last order uses; the count of each chunk of
+keys is kept in bytes and written to the index array once. A longer table
+reads most keys from a bucket table. One bucket map serves the whole stack:
+the same monotone function of the value for every row, with row ``r``'s
+buckets offset by ``r`` times the buckets per row. That is exact because the
+map is monotone (every floating-point step in it is) and is applied alike to
+a row's entries and to its keys: an entry in a lower bucket than a key is
+below the key, one in a higher bucket is above it, and only the entries in
+the key's own bucket need comparing. Every case neither path covers falls
+back to ``np.searchsorted`` on the key's own row: a bucket with two or more
+entries, NaN keys, a row without a finite positive span or holding NaN, tables
+of 9 to 63 entries, and calls with fewer keys than buckets.
 """
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +52,16 @@ _MIN_TABLE = 64
 _BLOCK = 64
 
 
+def sample_count(n) -> int:
+    """``n`` as an ``int``: a float, a string or a bool raises TypeError.
+
+    ``operator.index`` alone would take a bool as 0 or 1, so a bool is
+    refused first, as ``Schedule.counts`` does."""
+    if isinstance(n, bool):
+        raise TypeError("sample count must be an integer, not a bool")
+    return operator.index(n)
+
+
 def search_sorted(a: np.ndarray, keys, side: str = "left", rows=None) -> np.ndarray:
     """``np.searchsorted(a, keys, side)`` for a sorted float array ``a``.
 
@@ -56,25 +70,30 @@ def search_sorted(a: np.ndarray, keys, side: str = "left", rows=None) -> np.ndar
     keys[i], side)``.
 
     A table of at most ``_MAX_COUNTED`` entries without NaN answers key ``k``
-    with the number of entries ``e`` for which ``k < e`` (side "right") or
-    ``k <= e`` (side "left") is false. That is NumPy's NaN-last order: a
-    NaN key counts every entry.
+    with ``n`` minus the number of entries ``e`` for which ``k < e`` (side
+    "right") or ``k <= e`` (side "left") holds, counted in a ``uint8`` buffer
+    per chunk of keys. That is NumPy's NaN-last order: a NaN key compares
+    false with every entry, so its answer is ``n``.
 
-    A longer table answers key ``k`` from buckets: in row ``r``, ``k`` goes
-    to bucket ``b(k) = clip(floor((k - a[r, 0]) * s[r]), 0, K - 1)`` with
-    ``K = 4 * len(a[r])`` and ``s[r] = K / (a[r, -1] - a[r, 0])``, offset by
-    ``r * K``. The subtraction, the product, the clip and the floor are each
-    monotone in IEEE arithmetic (an overflow to infinity included), so ``b``
-    is monotone, and computing it the same way for the entries of row ``r``
-    gives: every entry in a bucket below ``b(k)`` is less than ``k``, and
-    every entry in a bucket above it is greater. The answer is therefore the
-    number of the row's entries in lower buckets plus the count of entries in
-    the key's own bucket that sort before it, which is one comparison when
-    that bucket holds at most one entry. Keys whose bucket holds two or more
-    entries, all keys in a row's top bucket (where NaN keys land) and all keys
-    of a row without a finite positive span ``a[r, -1] - a[r, 0]`` are
-    answered by ``np.searchsorted`` on their row; so is the whole call when
-    the tables have 9 to 63 entries or there are fewer keys than buckets.
+    A longer table answers key ``k`` from buckets. With ``K = 4 * n`` buckets
+    per row, ``lo`` the smallest first entry and ``hi`` the largest last
+    entry of the rows on the map, and ``s = K / (hi - lo)``, a key of row
+    ``r`` goes to bucket ``b(k) = clip(floor((k - lo) * s), 0, K - 1)``,
+    offset by ``r * K``. The subtraction, the product, the clip and the floor
+    are each monotone in IEEE arithmetic (an overflow to infinity included),
+    so ``b`` is monotone, and computing it the same way for the entries of
+    row ``r`` gives: every entry in a bucket below ``b(k)`` is less than
+    ``k``, and every entry in a bucket above it is greater. The answer is
+    therefore the number of the row's entries in lower buckets plus the count
+    of entries in the key's own bucket that sort before it, which is one
+    comparison when that bucket holds at most one entry. Keys whose bucket
+    holds two or more entries (more often in a row far narrower than the
+    stack) and all keys in a row's top bucket (where NaN keys land) are
+    answered by ``np.searchsorted`` on their row. So are all keys of a row
+    without a finite positive span ``a[r, -1] - a[r, 0]``, which stays off
+    the map and does not widen it, and every key when ``s`` is not finite
+    and positive, when the tables have 9 to 63 entries or when there are
+    fewer keys than buckets.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -128,40 +147,54 @@ def _count_before(tables, flat, row_of, side, out) -> np.ndarray:
         return np.arange(flat.size)
     n = tables.shape[1]
     key_first = np.less if side == "right" else np.less_equal
-    hit = np.empty(min(flat.size, _CHUNK), dtype=bool)
-    col = np.empty(hit.size)
+    # One contiguous column per entry, which np.take reads without a copy.
+    columns = np.ascontiguousarray(tables.T)
+    size = min(flat.size, _CHUNK)
+    count, hit, col = np.empty(size, dtype=np.uint8), np.empty(size, dtype=bool), np.empty(size)
     for i in range(0, flat.size, _CHUNK):
-        k, r = flat[i:i + _CHUNK], out[i:i + _CHUNK]
+        k = flat[i:i + _CHUNK]
         m = k.size
-        r.fill(0)
+        c, h = count[:m], hit[:m]
         for j in range(n):
             if row_of is None:
-                entry = tables[0, j]
+                entry = columns[j, 0]
             else:
-                entry = np.take(tables[:, j], row_of[i:i + _CHUNK], out=col[:m], mode="wrap")
-            r += key_first(k, entry, out=hit[:m])
+                # The rows were checked to be in range, so "wrap" never wraps;
+                # it is the cheapest mode of np.take.
+                entry = np.take(columns[j], row_of[i:i + _CHUNK], out=col[:m], mode="wrap")
+            # The first comparison writes the count; the others add to it.
+            if j:
+                key_first(k, entry, out=h)
+                np.add(c, h.view(np.uint8), out=c)
+            else:
+                key_first(k, entry, out=c.view(bool))
         # The entries the key sorts at or before are the ones not before it.
-        np.subtract(n, r, out=r)
+        np.subtract(n, c, out=out[i:i + _CHUNK])
     if not has_nan.any():
         return np.empty(0, dtype=np.intp)
     return np.flatnonzero(has_nan[row_of])
 
 
 def _bucket_search(tables, flat, row_of, side, out) -> np.ndarray:
-    """Fill ``out`` from each row's bucket table; return the positions of the
+    """Fill ``out`` from the stack's bucket table; return the positions of the
     keys left to ``np.searchsorted`` (their ``out`` entries are negative)."""
     n_rows, n = tables.shape
     nb = 4 * n
     top = float(nb - 1)
-    lo = tables[:, 0]
-    with np.errstate(all="ignore"):
-        scale = nb / (tables[:, -1] - lo)
-    # A row without a finite positive span gets a NaN scale, which sends
-    # all its keys to its top bucket, and so to np.searchsorted.
-    scale[~(np.isfinite(scale) & (scale > 0))] = np.nan
+    with np.errstate(invalid="ignore", over="ignore"):
+        span = tables[:, -1] - tables[:, 0]
+        # Rows without a finite positive span (NaN, an infinity, or every
+        # entry equal) stay off the map, so their keys go to np.searchsorted.
+        on_map = np.isfinite(span) & (span > 0)
+        if not on_map.any():
+            return np.arange(flat.size)
+        lo = tables[on_map, 0].min()
+        scale = nb / (tables[on_map, -1].max() - lo)
+    if not (np.isfinite(scale) and scale > 0):
+        return np.arange(flat.size)
     before = np.less if side == "left" else np.less_equal
 
-    def bucket(x, lo, scale, t, out):
+    def bucket(x, t, out):
         np.subtract(x, lo, out=t)
         np.multiply(t, scale, out=t)
         np.fmin(t, top, out=t)  # fmin also sends NaN to the top bucket
@@ -170,8 +203,7 @@ def _bucket_search(tables, flat, row_of, side, out) -> np.ndarray:
         return out
 
     with np.errstate(invalid="ignore", over="ignore"):
-        entry_bucket = bucket(tables, lo[:, None], scale[:, None],
-                              np.empty(tables.shape), np.empty(tables.shape, dtype=np.intp))
+        entry_bucket = bucket(tables, np.empty(tables.shape), np.empty(tables.shape, dtype=np.intp))
         entry_bucket += np.arange(n_rows)[:, None] * nb
         width = np.bincount(entry_bucket.ravel(), minlength=n_rows * nb).reshape(n_rows, nb)
         # first[r, b]: how many of row r's entries lie in its buckets below b.
@@ -179,30 +211,26 @@ def _bucket_search(tables, flat, row_of, side, out) -> np.ndarray:
         np.cumsum(width[:, :-1], axis=1, out=first[:, 1:])
         # The one entry a bucket compares its keys against (a later one in
         # its row, or +inf, when it holds none). Buckets left to
-        # np.searchsorted (two or more entries, or the top one, which NaN
-        # keys share) get a negative start, so their keys come out negative.
+        # np.searchsorted (two or more entries, the top one, which NaN keys
+        # share, and every bucket of a row off the map) get a negative
+        # start, so their keys come out negative.
         padded = np.concatenate([tables, np.full((n_rows, 1), np.inf)], axis=1)
         entry = np.take_along_axis(padded, first, axis=1).ravel()
         first[width >= 2] = -2
         first[:, -1] = -2
+        first[~on_map] = -2
         first = first.ravel()
 
         t, b, hit = np.empty(_CHUNK), np.empty(_CHUNK, dtype=np.intp), np.empty(_CHUNK, dtype=bool)
         if row_of is not None:
-            lo_k, scale_k, base = np.empty(_CHUNK), np.empty(_CHUNK), np.empty(_CHUNK, dtype=np.intp)
+            base = np.empty(_CHUNK, dtype=np.intp)
         missed = []
         for i in range(0, flat.size, _CHUNK):
             k, r = flat[i:i + _CHUNK], out[i:i + _CHUNK]
             m = k.size
-            if row_of is None:
-                bucket(k, lo[0], scale[0], t[:m], b[:m])
-            else:
-                rk = row_of[i:i + _CHUNK]
-                # The rows were checked to be in range, so "wrap" never wraps;
-                # it is the cheapest mode of np.take.
-                lo_r = np.take(lo, rk, out=lo_k[:m], mode="wrap")
-                bucket(k, lo_r, np.take(scale, rk, out=scale_k[:m], mode="wrap"), t[:m], b[:m])
-                np.multiply(rk, nb, out=base[:m])
+            bucket(k, t[:m], b[:m])
+            if row_of is not None:
+                np.multiply(row_of[i:i + _CHUNK], nb, out=base[:m])
                 b[:m] += base[:m]
             np.take(first, b[:m], out=r, mode="clip")
             np.take(entry, b[:m], out=t[:m], mode="clip")
@@ -246,8 +274,11 @@ class RngStream:
             return block.pop()
 
     def randoms(self, n: int) -> np.ndarray:
-        """n uniform draws in [0, 1); the rest of ``random``'s block first."""
-        n = int(n)
+        """n uniform draws in [0, 1); the rest of ``random``'s block first.
+
+        A count that is not an integer raises TypeError before anything is
+        drawn (``sample_count``)."""
+        n = sample_count(n)
         block = self._block
         if not block or n <= 0:
             return self._gen.random(n)
@@ -274,7 +305,8 @@ class RngStream:
     def sample_indices(self, weights: np.ndarray, n: int) -> np.ndarray:
         """n indices sampled from a discrete distribution via inverse CDF.
 
-        The weights must be finite and non-negative with a positive, finite sum.
+        The weights must be finite and non-negative with a positive, finite
+        sum, and ``n`` an integer, as ``randoms`` takes it.
         """
         w = np.asarray(weights, dtype=float)
         with np.errstate(over="ignore"):

@@ -27,7 +27,7 @@ import numpy as np
 from ..analysis import Entangle, Observe, Schedule
 from ..engine import Universe
 from ..errors import ConfigError
-from ..rng import RngStream, search_sorted
+from ..rng import RngStream, sample_count, search_sorted
 from ..states import Observable, StateVector, Subsystem, label_observable, make_state, tensor
 from .fringes import FringeHistogram
 from .geometry import SlitGeometry, path_difference, slit_wave_arrays
@@ -52,7 +52,10 @@ def _check_perspective(perspective: str) -> None:
 @dataclass(frozen=True)
 class EraserConfig:
     """One sampled eraser run: beam-splitter choice, measurement order, size,
-    seed. The analytic functions take only ``(bs_present, geometry)``."""
+    seed. The analytic functions take only ``(bs_present, geometry)``.
+
+    ``n_photons`` is an integer of at least 1: a float, a string or a bool
+    raises TypeError (``sample_count``)."""
 
     bs_present: bool
     perspective: str
@@ -62,7 +65,7 @@ class EraserConfig:
 
     def __post_init__(self) -> None:
         _check_perspective(self.perspective)
-        if self.n_photons < 1:
+        if sample_count(self.n_photons) < 1:
             raise ConfigError("n_photons must be at least 1")
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NotFarField, SingularPoint
-from ..rng import RngStream, search_sorted
+from ..rng import RngStream, sample_count, search_sorted
 
 # Minimum ratio of detector distance to slit separation for the planar-wave
 # (far-field) approximation of the momentum measurement.
@@ -214,8 +214,9 @@ def screen_density(g: SlitGeometry) -> np.ndarray:
 
 
 def sample_screen_hits(g: SlitGeometry, n: int, rng: RngStream) -> np.ndarray:
-    """n screen positions Born-sampled from the discretized density."""
-    if n < 1:
+    """n screen positions Born-sampled from the discretized density; ``n`` is
+    an integer of at least 1 (``sample_count``)."""
+    if sample_count(n) < 1:
         raise ValueError("need at least one sample")
     density = screen_density(g)
     idx = rng.sample_indices(density, n)
@@ -256,7 +257,9 @@ def momentum_detector_probabilities(g: SlitGeometry) -> tuple[float, float]:
 
 
 def sample_momentum_clicks(g: SlitGeometry, n: int, rng: RngStream) -> tuple[int, int]:
-    """Counts of detector-1 and detector-2 clicks over n particles."""
+    """Counts of detector-1 and detector-2 clicks over n particles; ``n`` is
+    an integer, and ``RngStream.randoms`` refuses any other count before it
+    draws."""
     p_up, _ = momentum_detector_probabilities(g)
     u = rng.randoms(n)
     n_up = int(np.count_nonzero(u < p_up))

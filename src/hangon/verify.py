@@ -559,17 +559,24 @@ def check_event_ledger(seed: int, fast: bool) -> CheckResult:
         story.ledger.truth_value(prop, t) is Truth.TRUE
         for t in range(story.t_complete, story.t_complete + 20)
     )
+    # The position the narrative did not land on: a ledger that never
+    # answers FALSE would pass the two checks above.
+    rival = Proposition(prop.subsystem, "down" if prop.outcome == "up" else "up", prop.t_happened)
+    rival_ok = all(
+        story.ledger.truth_value(rival, t) is Truth.FALSE
+        for t in range(story.t_complete, story.t_complete + 20)
+    )
     n_schedules = 100 if fast else 1_000
     rng = RngStream(seed)
     violations = 0
     for _ in range(n_schedules):
         violations += _random_ledger_schedule(rng)
-    ok = before_ok and after_ok and violations == 0
+    ok = before_ok and after_ok and rival_ok and violations == 0
     return CheckResult(
         "event_ledger",
         "a past-dated fact is indefinite until the conversation that determines it, then true forever",
         ok,
-        {"indefinite_before": before_ok, "true_after": after_ok},
+        {"indefinite_before": before_ok, "true_after": after_ok, "rival_false_after": rival_ok},
         {"n_schedules": n_schedules, "monotonicity_violations": violations},
         f"needle fact determined at t={story.ledger.determination_time(prop)}",
     )

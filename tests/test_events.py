@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hangon import EventLedger, OutOfOrderDetermination, Proposition, Truth
+from hangon import EventLedger, OutOfOrderDetermination, Proposition, Truth, verify
 from hangon.events import _proposition
 from hangon.rng import RngStream
 
@@ -209,3 +209,21 @@ def test_slot_index_equals_linear_scan(ops):
         ledger.record(Proposition(sub, outcome, t_hap), t_det)
     _assert_matches_scan(ledger, "truth")
     _assert_matches_scan(ledger, "determination")
+
+
+def test_event_ledger_check_fails_on_a_ledger_that_never_answers_false(monkeypatch):
+    """``check_event_ledger`` must not pass a ledger whose FALSE answers read
+    INDEFINITE: truth never reverts under that defect and the needle fact
+    still turns TRUE, so only the rival position shows it."""
+    assert verify.check_event_ledger(7, fast=True).passed
+    truth_value = EventLedger.truth_value
+
+    def never_false(self, proposition, query_time):
+        answer = truth_value(self, proposition, query_time)
+        return Truth.INDEFINITE if answer is Truth.FALSE else answer
+
+    monkeypatch.setattr(EventLedger, "truth_value", never_false)
+    result = verify.check_event_ledger(7, fast=True)
+    assert not result.passed
+    assert result.analytic == {"indefinite_before": True, "true_after": True, "rival_false_after": False}
+    assert result.sampled["monotonicity_violations"] == 0

@@ -5,7 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hangon import FixedStream, RngStream
-from hangon.rng import search_sorted
+from hangon.rng import _bucket_search, search_sorted
+from hangon.scenarios.eraser import EraserConfig
+from hangon.scenarios.geometry import default_geometry, sample_momentum_clicks, sample_screen_hits
 
 
 def test_same_seed_same_sequence():
@@ -167,6 +169,113 @@ def test_search_sorted_rejects_bad_rows():
             search_sorted(tables, [0.5, 0.5], rows=np.array(rows))
     with pytest.raises(ValueError):
         search_sorted(tables, [0.5, 0.5])
+
+
+def _edges(a: np.ndarray, n_buckets: int) -> np.ndarray:
+    """Bucket edges of a map from a[0] to a[-1], with their neighbours."""
+    with np.errstate(all="ignore"):
+        edges = a[0] + (a[-1] - a[0]) * (np.arange(n_buckets + 1) / n_buckets)
+    edges = edges[np.isfinite(edges)]
+    return np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+
+
+_N = 64
+_STACKS = {
+    "narrow-beside-wide": [np.linspace(0.0, 1e-9, _N), np.linspace(0.0, 1e9, _N)],
+    "disjoint-rows": [np.linspace(0.0, 1.0, _N), np.linspace(10.0, 11.0, _N), np.linspace(-5.0, -4.0, _N)],
+    "constant-row": [np.linspace(-3.0, 7.0, _N), np.full(_N, 0.5), np.sort(np.random.default_rng(1).random(_N))],
+    "infinities": [np.concatenate([[-np.inf], np.linspace(-1.0, 1.0, _N - 1)]),
+                   np.concatenate([np.linspace(-1.0, 1.0, _N - 1), [np.inf]]),
+                   np.linspace(-2.0, 0.5, _N)],
+    "nan-row": [np.linspace(0.0, 1.0, _N), np.concatenate([np.linspace(0.25, 0.75, _N - 3), [np.nan] * 3])],
+    "repeated-entries": [np.repeat(np.linspace(0.0, 1.0, _N // 4), 4), np.sort(np.tile([0.0, 0.5, 0.5, 1.0], _N // 4))],
+    "stack-span-overflows": [np.linspace(-1e308, -1e307, _N), np.linspace(1e307, 1e308, _N)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STACKS))
+def test_stack_search_shares_one_bucket_map(name):
+    """Rows of very different spans, constant rows and rows holding an
+    infinity or NaN, with keys on entries and on bucket edges of both the
+    stack's map and each row's own map: each key gets np.searchsorted's
+    answer on its own row."""
+    tables = np.stack(_STACKS[name])
+    n_buckets = 4 * _N
+    span = tables[:, -1] - tables[:, 0]
+    on_map = np.isfinite(span) & (span > 0)
+    pool = [[np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308]]
+    if on_map.any():
+        pool.append(_edges(np.array([tables[on_map, 0].min(), tables[on_map, -1].max()]), n_buckets))
+    for table, fine in zip(tables, on_map):
+        pool += [table, np.nextafter(table, np.inf), np.nextafter(table, -np.inf)]
+        if fine:
+            pool += [_edges(table, n_buckets), np.random.default_rng(2).uniform(table[0], table[-1], 200)]
+    pool = np.concatenate(pool)
+    # Every key in every row, so each row gets more keys than the stack has buckets.
+    keys = np.tile(pool, len(tables))
+    rows = np.repeat(np.arange(len(tables)), pool.size)
+    assert keys.size >= tables.size * 4
+    for side in ("left", "right"):
+        got = search_sorted(tables, keys, side, rows=rows)
+        np.testing.assert_array_equal(got, _per_row_searchsorted(tables, keys, side, rows))
+
+
+def test_rows_off_the_map_leave_the_others_on_it():
+    """A constant row and a row ending in NaN send only their own keys to
+    np.searchsorted; a grid row's interior keys are all answered from its
+    buckets."""
+    grid = np.linspace(0.0, 1.0, _N)
+    tables = np.stack([grid, np.full(_N, 2.0), np.concatenate([grid[:-1], [np.nan]])])
+    keys = np.tile(np.random.default_rng(3).uniform(0.0, 0.9, 400), 3)
+    rows = np.repeat(np.arange(3), 400)
+    out = np.empty(keys.size, dtype=np.intp)
+    missed = _bucket_search(tables, keys, rows, "right", out)
+    assert set(rows[missed]) == {1, 2}
+    out[missed] = _per_row_searchsorted(tables, keys[missed], "right", rows[missed])
+    np.testing.assert_array_equal(out, _per_row_searchsorted(tables, keys, "right", rows))
+
+
+_EIGHT = np.array([-1.0, 0.0, 0.0, 0.0, 0.5, 0.5, 1.0, 1.0])
+_EIGHT_NAN = np.array([0.0, 0.0, 0.5, 1.0, 1.0, 2.0, np.nan, np.nan])
+
+
+def test_counted_eight_entry_tables_equal_numpy():
+    """Tables of exactly eight entries, with repeated entries and NaN, in
+    one table and in a stack, over more keys than one chunk holds."""
+    r = np.random.default_rng(8)
+    tables = np.stack([_EIGHT, _EIGHT_NAN, _EIGHT * 2.0, -_EIGHT[::-1]])
+    pool = np.concatenate([_SHORT_KEYS, tables.ravel(), np.nextafter(tables.ravel(), np.inf),
+                           np.nextafter(tables.ravel(), -np.inf), [np.nan] * 5])
+    keys = r.permutation(np.concatenate([np.tile(pool, 300), r.uniform(-3.0, 3.0, 5000)]))
+    rows = r.integers(0, len(tables), keys.size)
+    for side in ("left", "right"):
+        for table in tables:
+            np.testing.assert_array_equal(search_sorted(table, keys, side), np.searchsorted(table, keys, side))
+        got = search_sorted(tables, keys, side, rows=rows)
+        np.testing.assert_array_equal(got, _per_row_searchsorted(tables, keys, side, rows))
+
+
+@pytest.mark.parametrize("n", [2.7, 2.0, "3", True, False], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rng, n: rng.randoms(n),
+        lambda rng, n: rng.sample_indices([1.0, 3.0], n),
+        lambda rng, n: sample_screen_hits(default_geometry(64), n, rng),
+        lambda rng, n: sample_momentum_clicks(default_geometry(64), n, rng),
+        lambda rng, n: EraserConfig(True, "idler_first", n, default_geometry(64), 3),
+    ],
+    ids=["randoms", "sample_indices", "sample_screen_hits", "sample_momentum_clicks", "EraserConfig"],
+)
+def test_sample_counts_must_be_integers(call, n):
+    """A float, a string or a bool is refused before anything is
+    drawn: the stream, part way through a block, goes on where it was."""
+    rng, twin = RngStream(4), RngStream(4)
+    rng.random(), twin.random()
+    with pytest.raises(TypeError):
+        call(rng, n)
+    assert rng.random() == twin.random()
+    np.testing.assert_array_equal(rng.randoms(100), twin.randoms(100))
 
 
 @pytest.mark.parametrize("k", range(2, 9))
