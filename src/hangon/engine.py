@@ -10,36 +10,31 @@ same operation applied to that observer's record subsystem, which is why two
 observers can never report conflicting results to each other: the reply is
 sampled inside the asker's own branch.
 
-Each observer caches her branch state, keyed by the global state it was
-projected from and by her current node: the unnormalized branch, so a query
-projects only through the selectors added since the last one, plus the
-normalized branch and the class weights of every observable asked about at
-that node, so a repeated query on an unchanged path is a lookup. The
-branch also remembers its fixed facts, the selectors it keeps whole: one
-of them is not projected again, since the branch is immutable and a
-projection deterministic. A branch that a projection narrowed starts with
-the facts of the branch it came from and the selectors it was projected
-through, so the first repeat of a narrowing observation projects nothing.
-A node reached through selectors that keep the branch whole gets it by one
-rule, ``_hang_on``: the node shares the branch, its normalization, its
-class-weights dict and its fixed facts, so one weights dict can be filled
-from several nodes, each time with the same values. ``observe`` applies
-the rule itself when the chosen class carries the whole weight and is
-among the fixed facts, so a fact observed again costs no query;
-``conditional_state`` applies it when a projection drops no term, and the
-newest selector joins the fixed facts.
-The weights dict maps each observable to its split, built once in one
-pass over its classes: the class weights, their total, the positive
-classes in class order and their running sums. ``observe`` and
-``force_observe`` read the split in place, straight from the observer's
-memo when it sits at her current node on the current global state, so the
-``observe`` that ends a forced step finds the split ``force_observe`` just
-read without another ``conditional_state`` call; ``branch_probabilities``
-hands callers a copy of the weights. ``observe`` is the one place that
-maps a uniform draw to a class, by a binary search of the running sums:
-``force_observe`` names the class it has checked instead of steering a
-draw onto it, and ``observe`` hangs on to that class without drawing and
-records it as it records a sampled one.
+Each observer caches one record of her branch, keyed by the global state
+it was projected from and by her current node: the unnormalized branch, so
+a query projects only through the selectors added since the last one; the
+normalized branch and the split of every observable asked about, so a
+repeated query on an unchanged path is a lookup; the fixed facts, the
+selectors the branch keeps whole, which are not projected again; and the
+answer table's branches below. Only a projection that narrows the branch
+builds a record, whose facts are those of the branch it came from plus the
+selectors it went through, so the first repeat of a narrowing observation
+projects nothing. A node reached through selectors that keep the branch
+whole shares the record whole: ``observe`` moves the memo there when the
+chosen class carries the whole weight and is among the fixed facts, so a
+fact observed again costs no query, and ``conditional_state`` does when a
+projection drops no term, the newest selector joining the facts.
+A split is built once, in one pass over the observable's classes: the
+class weights, their total, the positive classes in class order and their
+running sums. ``observe`` and ``force_observe`` read the split in place,
+straight from the observer's memo when it sits at her current node on the
+current global state, so the ``observe`` that ends a forced step finds the
+split ``force_observe`` just read without another ``conditional_state``
+call; ``branch_probabilities`` hands callers a copy of the weights.
+``observe`` is the one place that maps a uniform draw to a class, by a
+binary search of the running sums: ``force_observe`` names the class it
+has checked instead of steering a draw onto it, and ``observe`` hangs on
+to that class without drawing and records it as it records a sampled one.
 ``entangle_step`` replaces the global state, which makes every cache stale;
 the next query rebuilds it from the root once.
 
@@ -49,8 +44,7 @@ created when the call starts and dropped when it returns; the trials of
 ``verify``'s ``no_conflict`` check share one the same way. It holds what
 every trial or forced walk over the same initial state would otherwise
 compute again: each premeasurement, keyed by its input global state and
-entangle step, and for each global state and selector path the
-unnormalized branch, the normalized branch and the split per observable.
+entangle step, and the record of every branch a projection narrowed.
 An observer's cache is filled from the table on a miss before anything is
 projected, and the table is written after a projection, so ``observe``,
 the draws, the clock, the ledger and the trace run as they do without it.
@@ -60,9 +54,9 @@ caches.
 A Universe and its observers form one mutation domain driven by a single
 thread of control. The queries (conditional_state, branch_probabilities)
 write only the queried observer's cache, never the global state or another
-observer; that write is idempotent (one cache per observer, and a split
-dict or fixed-facts dict that several nodes share gets equal splits and
-the same facts from each), so the queries may run concurrently between mutations.
+observer; that write is idempotent (one cache per observer, and a record
+that several nodes share gets equal splits and the same facts from each),
+so the queries may run concurrently between mutations.
 Distinct universes with distinct seeds parallelize freely.
 """
 from __future__ import annotations
@@ -130,10 +124,11 @@ class _AnswerTable:
     """Answers shared by the universes of one schedule call.
 
     ``branches(state)`` is a dict from the selectors a projection went
-    through, in walk order, to ``(unnormalized branch, normalized branch,
-    {observable: split}, {observable: fixed class}, branches below it)``.
-    Every value holds the objects whose ids key it, so no id is reused
-    while the table lives.
+    through, in walk order, to the record of the branch it narrowed, whose
+    last slot is the same dict for the branches below. Nodes that share a
+    record share that slot: a selector that keeps a branch whole changes
+    no projection below it. Every value holds the objects whose ids key
+    it, so no id is reused while the table lives.
     """
 
     __slots__ = ("_premeasured", "_roots")
@@ -166,17 +161,14 @@ class _AnswerTable:
 class ObserverHandle:
     """An observer's identity, current branch node, and event ledger.
 
-    ``_memo`` caches ``(global state, node, unnormalized branch, normalized
-    branch, {observable: split}, {observable: fixed class}, branches
-    below)``: the global state projected through every selector from the
-    root down to ``node``, an ancestor of (or equal to) the current node,
-    and the answers already given there. The fixed classes are the
-    selectors the branch is known to keep whole. ``branches below`` is that
-    node's entry in the universe's answer table, or None when the universe
-    has no table. A node reached through selectors that keep the branch
-    whole shares the branch, normalized branch, split dict and
-    fixed-class dict of the node above them; only ``branches below`` is its
-    own.
+    ``_memo`` is ``(global state, node) + record``, kept flat. The record
+    ``(unnormalized branch, normalized branch, {observable: split},
+    {observable: fixed class}, branches below)`` is the global state
+    projected through every selector from the root down to ``node``, an
+    ancestor of (or equal to) the current node, with the answers already
+    given there; ``branches below`` is None when the universe has no
+    answer table. Nodes reached through selectors that keep the branch
+    whole share one record.
     """
 
     __slots__ = ("id", "ledger", "_node", "_memo")
@@ -324,8 +316,8 @@ class Universe:
         branch is returned as is. ``project`` keeps the surviving terms'
         amplitudes and order, so the result equals the re-projection from the
         root exactly, and a projection that keeps every term of the cached
-        branch gives that branch again: the new node hangs on to it
-        (``_hang_on``), and the newest selector joins its fixed facts. A
+        branch gives that branch again: the new node shares its record, and
+        the newest selector joins its fixed facts. A
         projection that drops terms starts a new branch whose fixed facts
         are the cached branch's plus every selector just projected. A
         selector already among them is not projected again.
@@ -352,10 +344,10 @@ class Universe:
                 selectors.append(walk.selector)
                 walk = walk.parent
             selectors = tuple(selectors)
-            shared = below.get(selectors)
-            if shared is not None:
-                observer._memo = (self._state, node) + shared
-                return shared[1]
+            record = below.get(selectors)
+            if record is not None:
+                observer._memo = (self._state, node) + record
+                return record[1]
         # Projections are term filters and commute, so they apply in walk
         # order, newest selector first. A selector the memo's branch keeps
         # whole keeps every sub-branch whole too, so it is not projected.
@@ -367,41 +359,25 @@ class Universe:
             walk = walk.parent
         if memo is not None and (branch is memo[2] or branch.term_count() == memo[2].term_count()):
             # Nothing was projected, or nothing was dropped, so the branch is
-            # the memo's term for term, and the newest selector joins its facts.
+            # the memo's term for term: the node hangs on to the memo's
+            # record, and the newest selector joins its facts.
             obs, outcome = node.selector
             memo[5][obs] = outcome
-            return self._hang_on(observer, memo, node, selectors)
+            observer._memo = (self._state, node) + memo[2:]
+            return memo[3]
         # A narrower branch: every selector just projected keeps it whole,
         # and so does every fact that kept the memo's branch whole.
-        conditional, weights, fixed = branch.normalized(), {}, dict(fixed)
+        fixed = dict(fixed)
         walk = node
         while walk is not stop:
             obs, outcome = walk.selector
             fixed[obs] = outcome
             walk = walk.parent
-        if below is None:
-            observer._memo = (self._state, node, branch, conditional, weights, fixed, None)
-        else:
-            shared = below[selectors] = (branch, conditional, weights, fixed, {})
-            observer._memo = (self._state, node) + shared
-        return conditional
-
-    def _hang_on(self, observer: ObserverHandle, memo: tuple, node: BranchNode, selectors: tuple | None) -> StateVector:
-        """Move the observer's memo to ``node``, reached from the memo's
-        node through ``selectors``, which keep its branch whole; returns the
-        normalized branch. The node shares the branch, its normalization,
-        splits and fixed facts. With an answer table it takes the
-        entry for ``selectors`` below the memo's node, made here if no
-        universe of the same call has made it."""
-        _, _, branch, conditional, weights, fixed, below = memo
-        if below is None:
-            observer._memo = (self._state, node, branch, conditional, weights, fixed, None)
-        else:
-            shared = below.get(selectors)
-            if shared is None:
-                shared = below[selectors] = (branch, conditional, weights, fixed, {})
-            observer._memo = (self._state, node) + shared
-        return conditional
+        record = (branch, branch.normalized(), {}, fixed, None if below is None else {})
+        if below is not None:
+            below[selectors] = record
+        observer._memo = (self._state, node) + record
+        return record[1]
 
     def _class_weights(self, observer: ObserverHandle, obs: Observable) -> _Split:
         """The observer's memoised split of ``obs`` at her node, built on
@@ -490,15 +466,14 @@ class Universe:
         t = self._clock
         self._clock = t + 1
         node = observer._node
-        selector = (obs, outcome)
-        observer._node = child = _tuple_new(BranchNode, (node, selector, node.depth + 1))
+        observer._node = child = _tuple_new(BranchNode, (node, (obs, outcome), node.depth + 1))
         if probs[outcome] == total:
             # Every other class weighs 0.0. If the branch is known to keep
-            # this class whole, the child hangs on to the same branch.
-            # The split was read from the memo at ``node``.
+            # this class whole, the child shares the record of the memo at
+            # ``node``, where the split was read.
             memo = observer._memo
             if memo[5].get(obs) == outcome:
-                self._hang_on(observer, memo, child, (selector,))
+                observer._memo = (self._state, child) + memo[2:]
         name = obs.subsystem.name
         observer.ledger.record(_proposition(name, outcome, t if t_happened is None else t_happened), t)
         self._observed.add(name)

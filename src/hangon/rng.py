@@ -52,14 +52,19 @@ _MIN_TABLE = 64
 _BLOCK = 64
 
 
-def sample_count(n) -> int:
+def _integer(n, what: str) -> int:
     """``n`` as an ``int``: a float, a string or a bool raises TypeError.
 
     ``operator.index`` alone would take a bool as 0 or 1, so a bool is
     refused first, as ``Schedule.counts`` does."""
     if isinstance(n, bool):
-        raise TypeError("sample count must be an integer, not a bool")
+        raise TypeError(f"{what} must be an integer, not a bool")
     return operator.index(n)
+
+
+def sample_count(n) -> int:
+    """``n`` as an ``int``; a float, a string or a bool raises TypeError."""
+    return _integer(n, "sample count")
 
 
 def search_sorted(a: np.ndarray, keys, side: str = "left", rows=None) -> np.ndarray:
@@ -243,15 +248,17 @@ def _bucket_search(tables, flat, row_of, side, out) -> np.ndarray:
 class RngStream:
     """A seeded Philox stream; ``derive`` hands out disjoint substreams.
 
-    ``_block`` holds the drawn but not yet served doubles, last one first,
-    so ``random`` serves the next with one ``list.pop``.
+    A seed or offset that is not an integer (a float, a string or a bool)
+    raises TypeError before any generator is built. ``_block`` holds the
+    drawn but not yet served doubles, last one first, so ``random`` serves
+    the next with one ``list.pop``.
     """
 
     __slots__ = ("seed", "offset", "_gen", "_block")
 
     def __init__(self, seed: int, offset: int = 0):
-        self.seed = int(seed)
-        self.offset = int(offset)
+        self.seed = _integer(seed, "seed")
+        self.offset = _integer(offset, "offset")
         bitgen = np.random.Philox(key=self.seed)
         if self.offset:
             bitgen = bitgen.jumped(self.offset)
@@ -295,9 +302,11 @@ class RngStream:
         position, so derive(i) is reproducible regardless of how many draws
         were consumed. Only single-level derivation is supported: deriving
         from a derived stream would re-enter the parent's counter space.
+        An index that is not an integer raises TypeError.
         """
         if self.offset:
             raise ValueError("cannot derive from an already-derived stream")
+        index = _integer(index, "derivation index")
         if index < 0:
             raise ValueError("derivation index must be non-negative")
         return RngStream(self.seed, offset=index + 1)

@@ -54,8 +54,9 @@ class EraserConfig:
     """One sampled eraser run: beam-splitter choice, measurement order, size,
     seed. The analytic functions take only ``(bs_present, geometry)``.
 
-    ``n_photons`` is an integer of at least 1: a float, a string or a bool
-    raises TypeError (``sample_count``)."""
+    ``bs_present`` is a ``bool`` and ``n_photons`` an integer of at least
+    1: a ``bs_present`` that is not a bool, or a float, string or bool
+    count (``sample_count``), raises TypeError."""
 
     bs_present: bool
     perspective: str
@@ -64,6 +65,8 @@ class EraserConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.bs_present, bool):
+            raise TypeError(f"bs_present must be a bool, not {self.bs_present!r}")
         _check_perspective(self.perspective)
         if sample_count(self.n_photons) < 1:
             raise ConfigError("n_photons must be at least 1")

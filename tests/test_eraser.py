@@ -278,6 +278,13 @@ class TestPerspectives:
         with pytest.raises(ConfigError):
             EraserConfig(True, "idler_first", 0, default_geometry(), 0)
 
+    @pytest.mark.parametrize("bs", ["false", "true", 0, 1, None, np.True_], ids=repr)
+    def test_bs_present_must_be_a_bool(self, bs):
+        """A string, a number or a numpy bool is refused: ``"false"`` is
+        truthy, so taking it would sample the beam-splitter-in run."""
+        with pytest.raises(TypeError, match="bs_present"):
+            EraserConfig(bs, "idler_first", 10, default_geometry(), 0)
+
 
 class TestChiSquareTwoSample:
     def test_unpooled_table_matches_scipy(self):

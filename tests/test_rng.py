@@ -278,6 +278,39 @@ def test_sample_counts_must_be_integers(call, n):
     np.testing.assert_array_equal(rng.randoms(100), twin.randoms(100))
 
 
+@pytest.mark.parametrize("value", [2.7, 2.0, "3", True, False], ids=repr)
+@pytest.mark.parametrize("where", ["seed", "offset", "derive"])
+def test_seeds_offsets_and_derivation_indices_must_be_integers(monkeypatch, where, value):
+    """A float, a string or a bool is refused with TypeError before any
+    Philox generator is built: ``int()`` would make 2.7 seed 2 and True
+    seed 1."""
+    parent = RngStream(3)
+    built = []
+    real_philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(args or kwargs)
+        return real_philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    make = {
+        "seed": lambda: RngStream(value),
+        "offset": lambda: RngStream(3, offset=value),
+        "derive": lambda: parent.derive(value),
+    }[where]
+    with pytest.raises(TypeError):
+        make()
+    assert built == []
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint32, np.int8])
+def test_numpy_integers_are_accepted_as_seeds_offsets_and_indices(kind):
+    stream = RngStream(kind(3), offset=kind(2))
+    assert (type(stream.seed), type(stream.offset)) == (int, int)
+    np.testing.assert_array_equal(stream.randoms(8), RngStream(3, offset=2).randoms(8))
+    np.testing.assert_array_equal(RngStream(kind(3)).derive(kind(1)).randoms(8), RngStream(3).derive(1).randoms(8))
+
+
 @pytest.mark.parametrize("k", range(2, 9))
 def test_sample_indices_with_few_weights_equals_binary_search(k):
     w = np.random.default_rng(k).random(k)
