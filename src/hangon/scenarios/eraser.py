@@ -11,10 +11,11 @@ wave|^2, so post-selecting on D1 or D2 reveals fringes, their union is
 fringe-free, and the unconditioned screen marginal is identical whether or
 not the beam splitter is present.
 
-Runs sample either measurement order. The signal-first path draws screen
-positions from the beam-splitter-independent marginal before the detector
-label is sampled from the configured wave function, structurally enforcing
-that recorded positions cannot depend on the later choice.
+Runs sample either measurement order, one uniform per photon, from the
+nested cdf of that order's own factorisation of the joint. In signal-first
+order each bin's block spans exactly the stretch of the unit interval that
+the beam-splitter-independent screen marginal gives it, so a photon's
+recorded position cannot depend on the later choice.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import numpy as np
 from ..analysis import Entangle, Observe, Schedule
 from ..engine import Universe
 from ..errors import ConfigError
-from ..rng import RngStream, sample_count, search_sorted
+from ..rng import RngStream, _integer, sample_count, search_sorted
 from ..states import Observable, StateVector, Subsystem, label_observable, make_state, tensor
 from .fringes import FringeHistogram
 from .geometry import SlitGeometry, path_difference, slit_wave_arrays
@@ -44,6 +45,11 @@ _HALF = 0.5
 _EIGHTH = 1.0 / (2.0 * math.sqrt(2.0))
 
 
+def _check_bs_present(bs_present: bool) -> None:
+    if not isinstance(bs_present, bool):
+        raise TypeError(f"bs_present must be a bool, not {bs_present!r}")
+
+
 def _check_perspective(perspective: str) -> None:
     if perspective not in PERSPECTIVES:
         raise ConfigError(f"perspective must be one of {PERSPECTIVES}")
@@ -54,9 +60,10 @@ class EraserConfig:
     """One sampled eraser run: beam-splitter choice, measurement order, size,
     seed. The analytic functions take only ``(bs_present, geometry)``.
 
-    ``bs_present`` is a ``bool`` and ``n_photons`` an integer of at least
-    1: a ``bs_present`` that is not a bool, or a float, string or bool
-    count (``sample_count``), raises TypeError."""
+    ``bs_present`` is a ``bool``, ``n_photons`` an integer of at least 1
+    and ``seed`` an integer: a ``bs_present`` that is not a bool, or a
+    float, string or bool count (``sample_count``) or seed, raises
+    TypeError."""
 
     bs_present: bool
     perspective: str
@@ -65,11 +72,11 @@ class EraserConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bs_present, bool):
-            raise TypeError(f"bs_present must be a bool, not {self.bs_present!r}")
+        _check_bs_present(self.bs_present)
         _check_perspective(self.perspective)
         if sample_count(self.n_photons) < 1:
             raise ConfigError("n_photons must be at least 1")
+        _integer(self.seed, "seed")
 
 
 def branch_amplitudes(bs_present: bool) -> dict[tuple[str, str], complex]:
@@ -97,12 +104,14 @@ def branch_amplitudes(bs_present: bool) -> dict[tuple[str, str], complex]:
 
 def eraser_state(bs_present: bool) -> StateVector:
     """The discrete (detector, path) state with or without the beam splitter:
-    built once per process for each truth value of ``bs_present``, the same
-    immutable state on every later call."""
-    return _eraser_state(bool(bs_present))
+    built once per process for each value of ``bs_present``, the same
+    immutable state on every later call. A ``bs_present`` that is not a
+    ``bool`` raises TypeError, as in ``EraserConfig``, so the universe
+    builders, ``eraser_schedule`` and the eraser trace refuse it too."""
+    _check_bs_present(bs_present)
+    return _eraser_state(bs_present)
 
 
-# Keyed on a bool: ``functools.cache`` keys ``1`` and ``True`` apart.
 @functools.cache
 def _eraser_state(bs_present: bool) -> StateVector:
     amps = branch_amplitudes(bs_present)
@@ -246,46 +255,53 @@ class EraserRun:
         return int(self.joint_counts.sum())
 
 
-def _sample_idler_first(cfg: EraserConfig, rho: np.ndarray, rng: RngStream):
-    # The detector first, from the row sums; then each photon's screen bin
-    # from its own detector's row, all photons in one multi-table lookup.
-    dets = rng.sample_indices(rho.sum(axis=1), cfg.n_photons)
-    cdf = np.cumsum(rho, axis=1)
+def _nested_cdf(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The flat cdf of "cell ``i`` of ``first``, then cell ``j`` of row
+    ``second[i]``": block ``i`` is ``lo_i + (outer_i - lo_i) * inner_i``,
+    clipped to ``outer_i`` and ending exactly on it.
+
+    ``outer`` is the normalised cumsum of ``first`` that
+    ``RngStream.sample_indices`` builds, ``lo_i`` is ``outer_{i-1}`` (0 for
+    ``i = 0``) and ``inner_i`` row ``i``'s own normalised cumsum. Every
+    entry of block ``i`` lies in ``[lo_i, outer_i]``, so a uniform ``u`` with
+    ``lo_i <= u < outer_i`` passes every block before ``i``, stops inside
+    block ``i`` and reaches none after it: its block is exactly the index
+    ``sample_indices(first, n)`` gives for ``u``.
+    """
+    outer = np.cumsum(first)
+    outer /= outer[-1]
+    lo = np.concatenate(([0.0], outer[:-1]))
+    cdf = np.cumsum(second, axis=1)
     cdf /= cdf[:, -1:]
-    bins = search_sorted(cdf, rng.randoms(cfg.n_photons), side="right", rows=dets)
-    np.minimum(bins, rho.shape[1] - 1, out=bins)
-    return dets, bins
-
-
-def _sample_signal_first(cfg: EraserConfig, rho: np.ndarray, modes, rng: RngStream):
-    # Screen positions first, from the choice-independent marginal; the
-    # configured wave function is consulted only for the detector labels.
-    marginal = d0_marginal_density(cfg.geometry, _modes=modes)
-    bins = rng.sample_indices(marginal, cfg.n_photons)
-    cond = detector_conditional_given_bin(cfg.bs_present, cfg.geometry, _rho=rho)
-    cdf = np.cumsum(cond, axis=1)
-    # Each photon's detector from its own bin's row of the conditional cdf.
-    dets = search_sorted(cdf, rng.randoms(cfg.n_photons), side="right", rows=bins)
-    np.minimum(dets, len(DETECTORS) - 1, out=dets)
-    return dets, bins
+    cdf *= (outer - lo)[:, None]
+    cdf += lo[:, None]
+    np.minimum(cdf, outer[:, None], out=cdf)
+    cdf[:, -1] = outer
+    return cdf.ravel()
 
 
 def run_eraser(cfg: EraserConfig) -> EraserRun:
-    """Sample the configured run and build per-detector fringe histograms."""
+    """Sample the configured run, one uniform per photon looked up in the
+    nested cdf of the perspective's own factorisation, and build
+    per-detector fringe histograms."""
     modes = slit_mode_vectors(cfg.geometry)
     rho = joint_density(cfg.bs_present, cfg.geometry, _modes=modes)
-    rng = RngStream(cfg.seed)
-    if cfg.perspective == "idler_first":
-        dets, bins = _sample_idler_first(cfg, rho, rng)
+    idler_first = cfg.perspective == "idler_first"
+    if idler_first:
+        # The detector from the row sums, then the bin from its row.
+        cdf = _nested_cdf(rho.sum(axis=1), rho)
     else:
-        dets, bins = _sample_signal_first(cfg, rho, modes, rng)
-
-    nbins = rho.shape[1]
-    cell = dets * nbins
-    cell += bins
-    joint_counts = np.bincount(cell, minlength=len(DETECTORS) * nbins).reshape(
-        len(DETECTORS), nbins
-    )
+        # The bin from the choice-independent marginal, then the detector
+        # from that bin's conditional: the cells are bin-major.
+        marginal = d0_marginal_density(cfg.geometry, _modes=modes)
+        cdf = _nested_cdf(marginal, detector_conditional_given_bin(cfg.bs_present, cfg.geometry, _rho=rho))
+    cells = search_sorted(cdf, RngStream(cfg.seed).randoms(cfg.n_photons), side="right")
+    np.minimum(cells, cdf.size - 1, out=cells)
+    counts = np.bincount(cells, minlength=cdf.size)
+    if idler_first:
+        joint_counts = counts.reshape(rho.shape)
+    else:
+        joint_counts = np.ascontiguousarray(counts.reshape(rho.shape[::-1]).T)
 
     edges = cfg.geometry.bin_edges
     histograms = {

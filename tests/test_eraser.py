@@ -32,6 +32,7 @@ from hangon.scenarios import (
     oscillation_fit,
     path_observable,
     run_eraser,
+    run_eraser_trace,
     slit_mode_vectors,
     visibility,
     visibility_stderr,
@@ -76,6 +77,32 @@ def in_phase_joint_density(g) -> np.ndarray:
     return rho / rho.sum()
 
 
+def reference_joint_counts(bs, perspective, g, n, seed):
+    """Joint counts by plain inverse-CDF sampling over the nested cdf of the
+    perspective's own factorisation: block i of the flat cdf runs from the
+    first factor's cdf at i - 1 to its cdf at i, split by row i of the
+    second factor's cdf; ``divmod`` of the flat cell gives the two factors'
+    cells."""
+    rho = joint_density(bs, g)
+    if perspective == "idler_first":
+        first, second = rho.sum(axis=1), rho
+    else:
+        first, second = d0_marginal_density(g), (rho / rho.sum(axis=0)).T
+    outer = np.cumsum(first)
+    outer /= outer[-1]
+    lo = np.concatenate(([0.0], outer[:-1]))
+    inner = np.cumsum(second, axis=1)
+    inner /= inner[:, -1:]
+    cdf = np.minimum(lo[:, None] + (outer - lo)[:, None] * inner, outer[:, None])
+    cdf[:, -1] = outer
+    cell = np.minimum(np.searchsorted(cdf.ravel(), RngStream(seed).randoms(n), side="right"), cdf.size - 1)
+    i, j = divmod(cell, second.shape[1])
+    dets, pos = (i, j) if perspective == "idler_first" else (j, i)
+    want = np.zeros(rho.shape, dtype=int)
+    np.add.at(want, (dets, pos), 1)
+    return want
+
+
 class TestDiscreteState:
     def test_with_beam_splitter_branches(self):
         s = eraser_state(True)
@@ -108,9 +135,11 @@ class TestSharedStates:
 
     def test_one_state_per_truth_value(self):
         assert eraser_state(True) is eraser_state(True)
-        assert eraser_state(1) is eraser_state(True)
-        assert eraser_state(0) is eraser_state(False)
+        assert eraser_state(False) is eraser_state(False)
         assert eraser_state(False) is not eraser_state(True)
+        for bs in (1, 0):
+            with pytest.raises(TypeError, match="bs_present"):
+                eraser_state(bs)
         assert eraser_module._ready_record() is eraser_module._ready_record()
 
     @pytest.mark.parametrize(
@@ -285,6 +314,24 @@ class TestPerspectives:
         with pytest.raises(TypeError, match="bs_present"):
             EraserConfig(bs, "idler_first", 10, default_geometry(), 0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [eraser_state, build_eraser_universe, lambda bs: build_eraser_universe(bs, record=True),
+         eraser_schedule, lambda bs: run_eraser_trace(1, bs)],
+        ids=["eraser_state", "build_eraser_universe", "with-record", "eraser_schedule", "run_eraser_trace"],
+    )
+    @pytest.mark.parametrize("bs", ["no", 1, None, np.True_], ids=repr)
+    def test_every_entry_point_refuses_a_bs_present_that_is_not_a_bool(self, call, bs):
+        """``run_eraser_trace(1, "no")`` would run with the beam splitter in."""
+        with pytest.raises(TypeError, match="bs_present"):
+            call(bs)
+
+    @pytest.mark.parametrize("seed", [3.9, 3.0, "3", True], ids=repr)
+    def test_seed_must_be_an_integer(self, seed):
+        """Refused when the config is built, not later in ``run_eraser``."""
+        with pytest.raises(TypeError):
+            EraserConfig(True, "idler_first", 10, default_geometry(), seed)
+
 
 class TestChiSquareTwoSample:
     def test_unpooled_table_matches_scipy(self):
@@ -444,54 +491,66 @@ class TestRuns:
     @pytest.mark.parametrize("bs", [True, False])
     def test_joint_counts_equal_binary_search_reference(self, bs, perspective, bins):
         """The same photons as plain inverse-CDF sampling with
-        ``np.searchsorted`` and ``np.add.at`` from the same seed."""
+        ``np.searchsorted`` over the nested cdf and ``np.add.at`` from the
+        same seed."""
         g, n, seed = default_geometry(bins), 100_000, 17
         run = run_eraser(EraserConfig(bs, perspective, n, g, seed))
-
-        def inverse_cdf(weights, u):
-            cdf = np.cumsum(weights)
-            cdf /= cdf[-1]
-            return np.minimum(np.searchsorted(cdf, u, side="right"), len(weights) - 1)
-
-        rho, rng = joint_density(bs, g), RngStream(seed)
-        if perspective == "idler_first":
-            dets = inverse_cdf(rho.sum(axis=1), rng.randoms(n))
-            u = rng.randoms(n)
-            pos = np.empty(n, dtype=int)
-            for i in range(len(DETECTORS)):
-                pos[dets == i] = inverse_cdf(rho[i], u[dets == i])
-        else:
-            pos = inverse_cdf(d0_marginal_density(g), rng.randoms(n))
-            cdf_rows = np.cumsum((rho / rho.sum(axis=0)).T, axis=1)[pos]
-            u = rng.randoms(n)
-            dets = np.minimum(np.sum(u[:, None] >= cdf_rows, axis=1), len(DETECTORS) - 1)
-        want = np.zeros((len(DETECTORS), bins), dtype=int)
-        np.add.at(want, (dets, pos), 1)
+        want = reference_joint_counts(bs, perspective, g, n, seed)
         assert run.joint_counts.dtype == want.dtype
         np.testing.assert_array_equal(run.joint_counts, want)
 
     @pytest.mark.parametrize("n", [1, 1_000, 70_000])
     @pytest.mark.parametrize("bs", [True, False])
     def test_idler_first_equals_binary_search_reference_at_any_size(self, bs, n):
-        """Fewer photons than the 4 x 16,384 buckets of a 4096-bin screen
-        take the per-row binary search; 70,000 take the bucket tables. Both
-        give the photons of the reference above."""
+        """Fewer photons than the 4 x 16,384 buckets of a 4096-bin screen's
+        nested cdf take ``np.searchsorted``; 70,000 take the bucket table.
+        Both give the photons of the reference."""
         g, seed = default_geometry(4096), 29
         run = run_eraser(EraserConfig(bs, "idler_first", n, g, seed))
-
-        def inverse_cdf(weights, u):
-            cdf = np.cumsum(weights)
-            cdf /= cdf[-1]
-            return np.minimum(np.searchsorted(cdf, u, side="right"), len(weights) - 1)
-
-        rho, rng = joint_density(bs, g), RngStream(seed)
-        dets = inverse_cdf(rho.sum(axis=1), rng.randoms(n))
-        u = rng.randoms(n)
-        want = np.zeros((len(DETECTORS), g.screen_positions.size), dtype=int)
-        for i in range(len(DETECTORS)):
-            np.add.at(want[i], inverse_cdf(rho[i], u[dets == i]), 1)
+        want = reference_joint_counts(bs, "idler_first", g, n, seed)
         assert run.joint_counts.dtype == want.dtype
         np.testing.assert_array_equal(run.joint_counts, want)
+
+    @pytest.mark.parametrize("bins", [512, 4096])
+    @pytest.mark.parametrize("perspective", ["idler_first", "signal_first"])
+    def test_first_factor_equals_sample_indices(self, perspective, bins):
+        """Each photon's first cell (the detector idler-first, the screen bin
+        signal-first) is exactly the one ``sample_indices`` draws over the
+        first factor from the same seed."""
+        g, n = default_geometry(bins), 70_000
+        for seed in (1, 17, 29, 4242):
+            for bs in (True, False):
+                run = run_eraser(EraserConfig(bs, perspective, n, g, seed))
+                if perspective == "idler_first":
+                    first, got = joint_density(bs, g).sum(axis=1), run.joint_counts.sum(axis=1)
+                else:
+                    first, got = d0_marginal_density(g), run.joint_counts.sum(axis=0)
+                want = np.bincount(RngStream(seed).sample_indices(first, n), minlength=first.size)
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bins", [512, 4096])
+    def test_signal_first_screen_totals_do_not_depend_on_the_beam_splitter(self, bins):
+        g = default_geometry(bins)
+        for seed in (3, 17, 4242):
+            with_bs = run_eraser(EraserConfig(True, "signal_first", 100_000, g, seed))
+            without = run_eraser(EraserConfig(False, "signal_first", 100_000, g, seed))
+            np.testing.assert_array_equal(with_bs.histograms["total"].counts, without.histograms["total"].counts)
+            assert not np.array_equal(with_bs.joint_counts, without.joint_counts)
+
+    @pytest.mark.parametrize("perspective", ["idler_first", "signal_first"])
+    def test_a_run_draws_one_double_per_photon(self, monkeypatch, perspective):
+        streams = []
+
+        class RecordingStream(RngStream):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                streams.append(self)
+
+        monkeypatch.setattr(eraser_module, "RngStream", RecordingStream)
+        n, seed = 70_000, 8
+        run_eraser(EraserConfig(True, perspective, n, default_geometry(4096), seed))
+        assert len(streams) == 1
+        assert streams[0].randoms(1)[0] == RngStream(seed).randoms(n + 1)[-1]
 
     def test_single_photon_run(self):
         run = run_eraser(EraserConfig(True, "idler_first", 1, default_geometry(), 1))

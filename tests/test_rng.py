@@ -112,35 +112,6 @@ def test_search_sorted_equals_numpy(kind, n, n_keys, seed):
         np.testing.assert_array_equal(search_sorted(a, grid, "right"), np.searchsorted(a, grid, "right"))
 
 
-def _per_row_searchsorted(tables, keys, side, rows):
-    want = np.empty(keys.shape, dtype=np.intp)
-    for q, table in enumerate(tables):
-        want[rows == q] = np.searchsorted(table, keys[rows == q], side)
-    return want
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    kinds=st.lists(st.sampled_from(["cdf", "repeats", "grid", "tiny", "ulps", "subnormal"]), min_size=1, max_size=5),
-    n=st.integers(1, 300),
-    n_keys=st.integers(0, 2500),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_multi_table_search_equals_numpy_per_row(kinds, n, n_keys, seed):
-    r = np.random.default_rng(seed)
-    # Rows must be equally long, and a grid table has at least 3 entries.
-    tables = np.stack([_sorted_table(kind, n, r)[:n] for kind in kinds])
-    keys = np.concatenate([_keys(table, n_keys, r) for table in tables])
-    rows = r.integers(0, len(tables), keys.size)
-    shapes = [keys.shape] + ([(2, keys.size // 2)] if keys.size % 2 == 0 else [])
-    for shape in shapes:
-        k, q = keys.reshape(shape), rows.reshape(shape)
-        for side in ("left", "right"):
-            got, want = search_sorted(tables, k, side, rows=q), _per_row_searchsorted(tables, k, side, q)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            np.testing.assert_array_equal(got, want)
-
-
 _SHORT_KEYS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5, 1.0, -1.0, 2.0, 1e-300, -5e-324, 0.25])
 
 
@@ -152,23 +123,16 @@ def test_short_table_search_equals_numpy(n):
     with_nan = np.sort(np.concatenate([table[:-1], [np.nan]]))
     keys = r.permutation(np.concatenate([_SHORT_KEYS, table, np.nextafter(table, 0.0), r.uniform(-2, 2, 40)]))
     for side in ("left", "right"):
-        for a in (table, with_nan):
+        for a in (table, with_nan, table * 2.0):
             got, want = search_sorted(a, keys, side), np.searchsorted(a, keys, side)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
-        tables = np.stack([table, with_nan, table * 2.0])
-        rows = r.integers(0, 3, keys.size)
-        np.testing.assert_array_equal(search_sorted(tables, keys, side, rows=rows),
-                                      _per_row_searchsorted(tables, keys, side, rows))
 
 
-def test_search_sorted_rejects_bad_rows():
-    tables = np.array([[0.0, 1.0], [2.0, 3.0]])
-    for rows in ([0, 2], [-1, 0], [0]):
+def test_search_sorted_takes_only_a_1d_table():
+    for a in (np.array([[0.0, 1.0], [2.0, 3.0]]), np.zeros((1, 64)), np.float64(1.0)):
         with pytest.raises(ValueError):
-            search_sorted(tables, [0.5, 0.5], rows=np.array(rows))
-    with pytest.raises(ValueError):
-        search_sorted(tables, [0.5, 0.5])
+            search_sorted(a, [0.5, 0.5])
 
 
 def _edges(a: np.ndarray, n_buckets: int) -> np.ndarray:
@@ -195,44 +159,41 @@ _STACKS = {
 
 @pytest.mark.parametrize("name", sorted(_STACKS))
 def test_stack_search_shares_one_bucket_map(name):
-    """Rows of very different spans, constant rows and rows holding an
-    infinity or NaN, with keys on entries and on bucket edges of both the
-    stack's map and each row's own map: each key gets np.searchsorted's
-    answer on its own row."""
-    tables = np.stack(_STACKS[name])
-    n_buckets = 4 * _N
-    span = tables[:, -1] - tables[:, 0]
-    on_map = np.isfinite(span) & (span > 0)
+    """Tables of very different spans, constant tables and tables holding
+    an infinity or NaN, each searched on its own with keys on its entries,
+    on its own map's bucket edges and on those of the map over the whole
+    set, more keys than it has buckets: each key gets np.searchsorted's
+    answer."""
+    tables = _STACKS[name]
     pool = [[np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308]]
-    if on_map.any():
-        pool.append(_edges(np.array([tables[on_map, 0].min(), tables[on_map, -1].max()]), n_buckets))
-    for table, fine in zip(tables, on_map):
+    with np.errstate(invalid="ignore", over="ignore"):
+        spans = [t[-1] - t[0] for t in tables]
+    fine = [t for t, span in zip(tables, spans) if np.isfinite(span) and span > 0]
+    if fine:
+        pool.append(_edges(np.array([min(t[0] for t in fine), max(t[-1] for t in fine)]), 4 * _N))
+    for table in tables:
         pool += [table, np.nextafter(table, np.inf), np.nextafter(table, -np.inf)]
-        if fine:
-            pool += [_edges(table, n_buckets), np.random.default_rng(2).uniform(table[0], table[-1], 200)]
-    pool = np.concatenate(pool)
-    # Every key in every row, so each row gets more keys than the stack has buckets.
-    keys = np.tile(pool, len(tables))
-    rows = np.repeat(np.arange(len(tables)), pool.size)
-    assert keys.size >= tables.size * 4
-    for side in ("left", "right"):
-        got = search_sorted(tables, keys, side, rows=rows)
-        np.testing.assert_array_equal(got, _per_row_searchsorted(tables, keys, side, rows))
+    for table in fine:
+        pool += [_edges(table, 4 * _N), np.random.default_rng(2).uniform(table[0], table[-1], 200)]
+    keys = np.concatenate(pool)
+    assert keys.size >= 4 * _N
+    for table in tables:
+        for side in ("left", "right"):
+            np.testing.assert_array_equal(search_sorted(table, keys, side), np.searchsorted(table, keys, side))
 
 
-def test_rows_off_the_map_leave_the_others_on_it():
-    """A constant row and a row ending in NaN send only their own keys to
-    np.searchsorted; a grid row's interior keys are all answered from its
+def test_tables_off_the_map_go_to_numpy():
+    """A constant table and a table ending in NaN send every key to
+    np.searchsorted; a grid table's interior keys are all answered from its
     buckets."""
     grid = np.linspace(0.0, 1.0, _N)
-    tables = np.stack([grid, np.full(_N, 2.0), np.concatenate([grid[:-1], [np.nan]])])
-    keys = np.tile(np.random.default_rng(3).uniform(0.0, 0.9, 400), 3)
-    rows = np.repeat(np.arange(3), 400)
+    keys = np.random.default_rng(3).uniform(0.0, 0.9, 400)
+    for table in (np.full(_N, 2.0), np.concatenate([grid[:-1], [np.nan]])):
+        out = np.empty(keys.size, dtype=np.intp)
+        assert _bucket_search(table, keys, "right", out).size == keys.size
     out = np.empty(keys.size, dtype=np.intp)
-    missed = _bucket_search(tables, keys, rows, "right", out)
-    assert set(rows[missed]) == {1, 2}
-    out[missed] = _per_row_searchsorted(tables, keys[missed], "right", rows[missed])
-    np.testing.assert_array_equal(out, _per_row_searchsorted(tables, keys, "right", rows))
+    assert _bucket_search(grid, keys, "right", out).size == 0
+    np.testing.assert_array_equal(out, np.searchsorted(grid, keys, "right"))
 
 
 _EIGHT = np.array([-1.0, 0.0, 0.0, 0.0, 0.5, 0.5, 1.0, 1.0])
@@ -240,19 +201,16 @@ _EIGHT_NAN = np.array([0.0, 0.0, 0.5, 1.0, 1.0, 2.0, np.nan, np.nan])
 
 
 def test_counted_eight_entry_tables_equal_numpy():
-    """Tables of exactly eight entries, with repeated entries and NaN, in
-    one table and in a stack, over more keys than one chunk holds."""
+    """Tables of exactly eight entries, with repeated entries and NaN, over
+    more keys than one chunk holds."""
     r = np.random.default_rng(8)
     tables = np.stack([_EIGHT, _EIGHT_NAN, _EIGHT * 2.0, -_EIGHT[::-1]])
     pool = np.concatenate([_SHORT_KEYS, tables.ravel(), np.nextafter(tables.ravel(), np.inf),
                            np.nextafter(tables.ravel(), -np.inf), [np.nan] * 5])
     keys = r.permutation(np.concatenate([np.tile(pool, 300), r.uniform(-3.0, 3.0, 5000)]))
-    rows = r.integers(0, len(tables), keys.size)
     for side in ("left", "right"):
         for table in tables:
             np.testing.assert_array_equal(search_sorted(table, keys, side), np.searchsorted(table, keys, side))
-        got = search_sorted(tables, keys, side, rows=rows)
-        np.testing.assert_array_equal(got, _per_row_searchsorted(tables, keys, side, rows))
 
 
 @pytest.mark.parametrize("n", [2.7, 2.0, "3", True, False], ids=repr)
@@ -301,6 +259,33 @@ def test_seeds_offsets_and_derivation_indices_must_be_integers(monkeypatch, wher
     with pytest.raises(TypeError):
         make()
     assert built == []
+
+
+@pytest.mark.parametrize("where, value", [("offset", -3), ("offset", 2**128), ("derive", -1),
+                                          ("derive", 2**128 - 1), ("derive", 2**128)])
+def test_offsets_and_derivation_indices_out_of_range_are_refused(monkeypatch, where, value):
+    """Philox's counter would wrap these onto another stream's draws:
+    offset -3 draws what offset 2**128 - 3 draws, and derive(2**128 - 1)
+    what the root stream draws. They raise ValueError before any Philox
+    generator is built."""
+    parent = RngStream(3)
+    built = []
+    real_philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(args or kwargs)
+        return real_philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    with pytest.raises(ValueError):
+        RngStream(3, offset=value) if where == "offset" else parent.derive(value)
+    assert built == []
+
+
+def test_last_offset_and_derivation_index_are_taken():
+    last = RngStream(3, offset=2**128 - 1).randoms(4)
+    np.testing.assert_array_equal(RngStream(3).derive(2**128 - 2).randoms(4), last)
+    assert not np.array_equal(last, RngStream(3).randoms(4))
 
 
 @pytest.mark.parametrize("kind", [np.int64, np.uint32, np.int8])
